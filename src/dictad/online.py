@@ -8,6 +8,13 @@ indicators, then applies the rank-one dictionary update. Every sample
 updates the model; there is no confidence gating. Atoms are not
 renormalized after the update (doing so would invalidate G), so online
 coding runs against raw atoms.
+
+Forgetting scales G by phi every step, so the ridge that makes G
+invertible decays with it, and an atom the stream stops using leaves a
+diagonal entry that shrinks like phi^t until Ginv overflows. Every
+_RIDGE_EVERY updates the step therefore adds back the ridge forgetting
+removed since the last check and recomputes Ginv exactly, which also
+resets the Sherman-Morrison rounding drift.
 """
 
 from __future__ import annotations
@@ -22,12 +29,10 @@ from .supervised import DiscriminativeModel, classify
 
 STATE_FORMAT_VERSION = 1
 
-# Inverse drift grows like phi^-t under forgetting (about 170x per 100
-# updates at phi = 0.95), so the periodic consistency check has to run well
-# before the error becomes visible. Checking every 100 updates and
-# re-inverting above 1e-9*n keeps ||Ginv G - I||_F under 1e-6*n at any point.
-_DRIFT_CHECK_EVERY = 100
-_DRIFT_REINVERT_AT = 1e-9
+# Sherman-Morrison drift grows like phi^-t (about 170x per 100 updates at
+# phi = 0.95); re-inverting every 100 updates keeps ||Ginv G - I||_F far
+# below 1e-6*n at any point.
+_RIDGE_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -73,27 +78,22 @@ class ToddlerOutcome:
     reconstruction_error: float
 
 
-def spectral_norm(M: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> float:
-    """Largest singular value by power iteration on M^T M (deterministic
-    seeded start vector)."""
+def spectral_norm(M: np.ndarray) -> float:
+    """Largest singular value (LAPACK SVD)."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
-    B = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
-    v = np.random.default_rng(0).standard_normal(B.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        lam_new = float(v @ w)
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    raise NumericalError(f"power iteration did not converge in {max_iter} steps")
+    if not np.all(np.isfinite(M)):
+        raise NumericalError("spectral norm of a matrix with non-finite entries")
+    try:
+        return float(np.linalg.norm(M, 2))
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"spectral norm: {e}") from None
+
+
+def _ridge(G: np.ndarray) -> float:
+    """Conditioning ridge for G: 1e-8 times its mean diagonal entry."""
+    return 1e-8 * np.trace(G) / G.shape[0]
 
 
 def init_state(
@@ -115,7 +115,7 @@ def init_state(
     Xd = warmup_X.to_dense()
     n = model.D.n
     G = Xd @ Xd.T
-    G += (1e-8 * np.trace(G) / n) * np.eye(n)
+    G += _ridge(G) * np.eye(n)
     try:
         Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
@@ -133,8 +133,9 @@ def init_state(
 def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> OnlineState:
     """Rank-one recursive least-squares dictionary update with forgetting:
     D absorbs the new sample, G <- phi G + x x^T and Ginv follows by
-    Sherman-Morrison. Inverse drift is re-checked periodically with exact
-    re-inversion as the fallback."""
+    Sherman-Morrison. Every 100 updates the ridge removed by forgetting is
+    added back to G and Ginv is recomputed exactly; a non-finite G, Ginv or
+    D at that point raises NumericalError."""
     xd = x.to_dense()
     u = (state.Ginv @ xd) / state.phi
     denom = 1.0 + float(xd @ u)
@@ -146,11 +147,15 @@ def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> OnlineState:
     state.G = state.phi * state.G + np.outer(xd, xd)
     state.Ginv = state.Ginv / state.phi - alpha * np.outer(u, u)
     state.samples_seen += 1
-    if state.samples_seen % _DRIFT_CHECK_EVERY == 0:
+    if state.samples_seen % _RIDGE_EVERY == 0:
         n = state.G.shape[0]
-        drift = np.linalg.norm(state.Ginv @ state.G - np.eye(n), "fro")
-        if drift > _DRIFT_REINVERT_AT * n:
+        state.G += (1.0 - state.phi**_RIDGE_EVERY) * _ridge(state.G) * np.eye(n)
+        try:
             state.Ginv = np.linalg.inv(state.G)
+        except np.linalg.LinAlgError:
+            raise NumericalError("online Gram matrix became singular") from None
+        if not all(np.all(np.isfinite(M)) for M in (state.G, state.Ginv, state.model.D.atoms)):
+            raise NumericalError(f"online state became non-finite after {state.samples_seen} samples")
     return state
 
 

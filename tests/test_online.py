@@ -287,3 +287,25 @@ def test_state_checkpoint_round_trip(tmp_path):
     assert st2.lambda_policy == st.lambda_policy
     assert st2.samples_seen == st.samples_seen
     assert st2.coding == st.coding
+
+
+def test_rls_unused_atom_under_forgetting_stays_finite():
+    # atom n-1 is never in a support, so its Gram diagonal decays like phi^t
+    rng = np.random.default_rng(15)
+    m, n, s = 10, 12, 3
+    Dt, _, _ = planted_instance(m, n, 1, 1, seed=15)
+    Xw = _sparse_cols(rng, n, s, 50)
+    st = init_state(_model(Dt), Dt @ Xw, SparseCodeMatrix.from_dense(Xw),
+                    phi=0.95, coding=CodingConfig(s))
+    for _ in range(15000):
+        sup = rng.choice(n - 1, s, replace=False)
+        x = SparseCode(sup, rng.standard_normal(s), n)
+        rls_update(st, Dt @ x.to_dense() + 0.05 * rng.standard_normal(m), x)
+    for M in (st.G, st.Ginv, st.model.D.atoms):
+        assert np.all(np.isfinite(M))
+    assert np.linalg.norm(st.Ginv @ st.G - np.eye(n), "fro") <= 1e-6 * n
+
+
+def test_spectral_norm_non_finite_raises():
+    with pytest.raises(NumericalError):
+        spectral_norm(np.full((3, 3), np.nan))
