@@ -162,12 +162,8 @@ def popularity_filter_run(Y: np.ndarray, cfg: PopularityConfig, truth=None):
         X = batch_code(stage.dictionary, Y[:, active], cfg.coding)
         errs = representation_errors(stage.dictionary, Y[:, active], X)
         p = atom_popularity(X)
-        rare = p <= cfg.n_anomalies
-        if cfg.literal_set_builder:
-            keep = [i for i, c in enumerate(X.columns) if np.any(~rare[c.support])]
-        else:
-            keep = [i for i, c in enumerate(X.columns) if np.any(rare[c.support])]
-        active = active[np.array(keep, dtype=int)] if keep else active[:0]
+        marked = (p > cfg.n_anomalies) if cfg.literal_set_builder else (p <= cfg.n_anomalies)
+        active = active[np.any(marked[X.supports] & X.occupied(), axis=1)]
         trace.append(it + 1, active, truth, float(np.mean(errs)), N)
         if active.size <= cfg.n_anomalies or active.size == size_before:
             break

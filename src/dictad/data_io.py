@@ -72,7 +72,11 @@ def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Data
     (labels absent when label_column is None)."""
     if schema not in ("ulb", "generic"):
         raise DataError(f"unknown CSV schema {schema!r}")
-    with open(path, newline="") as f:
+    try:
+        f = open(path, newline="")
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from None
+    with f:
         reader = csv.reader(f)
         try:
             header = [h.strip().strip('"') for h in next(reader)]
@@ -94,12 +98,22 @@ def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Data
         for rnum, rec in enumerate(reader, start=2):
             if not rec:
                 continue
+            if len(rec) != len(header):
+                raise DataError(
+                    f"{path}: row {rnum} has {len(rec)} fields, the header has {len(header)}"
+                )
             rows.append([_parse_cell(rec[i], rnum, header[i]) for i in fidx])
             if lidx is not None:
-                labels.append(int(_parse_cell(rec[lidx], rnum, label_column)))
+                label = _parse_cell(rec[lidx], rnum, label_column)
+                if label not in (0.0, 1.0):
+                    raise DataError(f"{path}: label {rec[lidx]!r} at row {rnum} is not 0 or 1")
+                labels.append(int(label))
     if not rows:
         raise DataError(f"{path}: no data rows")
     Y = np.array(rows).T
+    if not np.all(np.isfinite(Y)):
+        j, i = np.argwhere(~np.isfinite(Y))[0]
+        raise DataError(f"{path}: non-finite value in data row {i + 1}, column {features[j]!r}")
     return Dataset(
         Y,
         np.array(labels, dtype=int) if lidx is not None else None,

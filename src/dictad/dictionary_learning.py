@@ -16,11 +16,11 @@ from .errors import DataError
 from .sparse_coding import (
     CodingConfig,
     Dictionary,
-    SparseCode,
     SparseCodeMatrix,
     atom_popularity,
     batch_code,
     representation_errors,
+    residuals,
 )
 
 
@@ -77,7 +77,7 @@ def objective(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> float:
     Y = np.asarray(Y, dtype=float)
     if Y.shape[0] != D.m or Y.shape[1] != X.n_columns:
         raise DataError(f"dimension mismatch: Y {Y.shape} vs D {D.atoms.shape}, N={X.n_columns}")
-    return float(np.linalg.norm(Y - D.atoms @ X.to_dense(), "fro"))
+    return float(np.linalg.norm(residuals(D, Y, X)))
 
 
 def _sign_fix(d: np.ndarray) -> np.ndarray:
@@ -92,29 +92,24 @@ def atom_update_pass(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix):
     """AK-SVD sweep: for each used atom j, one rank-one power-iteration step
     on the residual restricted to the signals using j. Supports stay fixed;
     coefficient values on them are re-solved. Unused atoms are skipped."""
-    Y = np.asarray(Y, dtype=float)
     A = D.atoms.copy()
-    Xd = X.to_dense()
-    R = Y - A @ Xd
+    values = X.values.copy()
+    R = residuals(D, Y, X)
+    nonzero = X.occupied() & (values != 0)
     for j in range(A.shape[1]):
-        used = np.flatnonzero(Xd[j, :])
+        used, at = np.nonzero(nonzero & (X.supports == j))
         if used.size == 0:
             continue
-        xrow = Xd[j, used]
-        E = R[:, used] + np.outer(A[:, j], xrow)
-        g = E @ xrow
+        xrow = values[used, at]
+        E = R[used] + np.outer(xrow, A[:, j])
+        g = xrow @ E
         gnorm = np.linalg.norm(g)
         if gnorm > 0:
             A[:, j] = _sign_fix(g / gnorm)
-        xnew = E.T @ A[:, j]
-        Xd[j, used] = xnew
-        R[:, used] = E - np.outer(A[:, j], xnew)
-    # rebuild with the original supports so exact zeros do not shrink them
-    cols = [
-        SparseCode(c.support, Xd[c.support, i], c.dim)
-        for i, c in enumerate(X.columns)
-    ]
-    return Dictionary(A), SparseCodeMatrix(cols)
+        xnew = E @ A[:, j]
+        values[used, at] = xnew
+        R[used] = E - np.outer(xnew, A[:, j])
+    return Dictionary(A), SparseCodeMatrix.from_arrays(X.supports, values, X.nnz, X.dim)
 
 
 def _replace_dead_atoms(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> Dictionary:
@@ -154,12 +149,13 @@ def train(Y: np.ndarray, cfg: DLConfig) -> DLResult:
     for it in range(cfg.iterations):
         X_new = batch_code(D, Y, cfg.coding)
         if X is not None:
-            e_new = representation_errors(D, Y, X_new)
-            e_old = representation_errors(D, Y, X)
-            X = SparseCodeMatrix([
-                cn if e_new[i] <= e_old[i] else co
-                for i, (cn, co) in enumerate(zip(X_new.columns, X.columns))
-            ])
+            new = representation_errors(D, Y, X_new) <= representation_errors(D, Y, X)
+            X = SparseCodeMatrix.from_arrays(
+                np.where(new[:, None], X_new.supports, X.supports),
+                np.where(new[:, None], X_new.values, X.values),
+                np.where(new, X_new.nnz, X.nnz),
+                X.dim,
+            )
         else:
             X = X_new
         D, X = atom_update_pass(D, Y, X)

@@ -266,8 +266,17 @@ def run_eval(params: dict, out_dir: Path) -> dict:
     pred_path = params.get("predictions")
     if not pred_path:
         raise ConfigError("evaluation needs a 'predictions' file (one 0/1 per line)")
-    with open(pred_path) as f:
-        preds = [int(line.strip()) for line in f if line.strip()]
+    preds = []
+    try:
+        with open(pred_path) as f:
+            for k, line in enumerate(f, start=1):
+                text = line.strip()
+                if text not in ("0", "1", ""):
+                    raise DataError(f"{pred_path}: line {k} is {text!r}, not 0 or 1")
+                if text:
+                    preds.append(int(text))
+    except OSError as e:
+        raise DataError(f"cannot read {pred_path}: {e.strerror}") from None
     rep = confusion(ds.labels, preds)
     return _write_result(out_dir, "eval", params, rep.as_dict(), t0)
 

@@ -6,15 +6,12 @@ sample. A full online step codes the sample, classifies it with the
 pre-update classifier, Tikhonov-updates W and A toward the estimated
 indicators, then applies the rank-one dictionary update. Every sample
 updates the model; there is no confidence gating. Atoms are not
-renormalized after the update (doing so would invalidate G), so online
-coding runs against raw atoms.
-
-Forgetting scales G by phi every step, so the ridge that makes G
-invertible decays with it, and an atom the stream stops using leaves a
-diagonal entry that shrinks like phi^t until Ginv overflows. Every
-_RIDGE_EVERY updates the step therefore adds back the ridge forgetting
-removed since the last check and recomputes Ginv exactly, which also
-resets the Sherman-Morrison rounding drift.
+renormalized (that would invalidate G), so nothing anchors their scale: on
+long streams the atom norms grow by orders of magnitude while the codes, G
+and the gram-norm lambdas shrink to match. Forgetting also decays the ridge
+that keeps G invertible, and the diagonal entry of an atom the stream stops
+using, until Ginv overflows; so every 100 updates the RLS step restores the
+ridge and recomputes Ginv exactly, which also clears Sherman-Morrison drift.
 """
 
 from __future__ import annotations
@@ -29,9 +26,8 @@ from .supervised import DiscriminativeModel, classify
 
 STATE_FORMAT_VERSION = 1
 
-# Sherman-Morrison drift grows like phi^-t (about 170x per 100 updates at
-# phi = 0.95); re-inverting every 100 updates keeps ||Ginv G - I||_F far
-# below 1e-6*n at any point.
+# Sherman-Morrison drift grows about 170x per 100 updates at phi = 0.95, so
+# this keeps ||Ginv G - I||_F far below 1e-6*n at any point.
 _RIDGE_EVERY = 100
 
 
@@ -105,7 +101,8 @@ def init_state(
     coding: CodingConfig | None = None,
 ) -> OnlineState:
     """Build the online state from pretraining codes: G = X X^T plus a small
-    ridge for conditioning, Ginv its exact inverse."""
+    ridge for conditioning, Ginv its exact inverse. The state owns a copy of
+    the model, so streaming never changes the caller's pretrained model."""
     if warmup_X.n_columns == 0:
         raise DataError("empty warmup: G is undefined")
     if warmup_X.dim != model.D.n:
@@ -127,6 +124,8 @@ def init_state(
         )
     if coding is None:
         coding = CodingConfig(s=max(1, min(5, n)))
+    model = DiscriminativeModel(Dictionary(model.D.atoms.copy()), model.W.copy(),
+                                model.A.copy(), model.class_of_atom.copy())
     return OnlineState(model, G, Ginv, phi, lambda_policy, warmup_X.n_columns, coding)
 
 
@@ -155,7 +154,9 @@ def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> OnlineState:
         except np.linalg.LinAlgError:
             raise NumericalError("online Gram matrix became singular") from None
         if not all(np.all(np.isfinite(M)) for M in (state.G, state.Ginv, state.model.D.atoms)):
-            raise NumericalError(f"online state became non-finite after {state.samples_seen} samples")
+            raise NumericalError(
+                f"online state became non-finite after {state.samples_seen} samples"
+            )
     return state
 
 

@@ -1,15 +1,17 @@
-"""Greedy sparse approximation (OMP), batch coding and code statistics.
+"""Sparse coding by Batch-OMP, array-backed sparse codes and code statistics.
 
 Signals are columns of an m x N matrix; the dictionary holds n column atoms.
-Sparse codes are stored as (support, values) pairs because the atom count
-grows under dictionary concatenation in the unsupervised filters.
+N codes are stored as padded (N x s) support and value arrays, never as the
+dense n x N matrix, whose n grows under dictionary concatenation in the
+unsupervised filters. One kernel, Batch-OMP (Rubinstein, Zibulevsky & Elad,
+2008), codes every batch; omp() is that kernel on one column. Every
+per-column operation in it is independent of the other columns, so a signal
+codes to the same bits alone or inside any batch.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,39 +76,63 @@ class SparseCode:
         return x
 
 
-@dataclass
+def _trusted_code(support: np.ndarray, values: np.ndarray, dim: int) -> SparseCode:
+    """A SparseCode view of kernel output, which needs no validation."""
+    code = object.__new__(SparseCode)
+    code.support, code.values, code.dim = support, values, dim
+    return code
+
+
 class SparseCodeMatrix:
-    """A list of N sparse columns sharing the same dimension."""
+    """N sparse columns of dimension dim: column i uses atoms supports[i, :nnz[i]]
+    with coefficients values[i, :nnz[i]]. The padding slots after nnz[i] hold
+    atom 0 with value 0, so a sum over all slots needs no mask."""
 
-    columns: list[SparseCode]
-
-    def __post_init__(self):
-        dims = {c.dim for c in self.columns}
+    def __init__(self, columns: list[SparseCode]):
+        dims = {c.dim for c in columns}
         if len(dims) > 1:
             raise CodingError(f"inconsistent code dimensions: {sorted(dims)}")
+        width = max((c.nnz for c in columns), default=0)
+        self.supports = np.zeros((len(columns), width), dtype=int)
+        self.values = np.zeros((len(columns), width))
+        for i, c in enumerate(columns):
+            self.supports[i, :c.nnz] = c.support
+            self.values[i, :c.nnz] = c.values
+        self.nnz = np.array([c.nnz for c in columns], dtype=int)
+        self.dim = dims.pop() if dims else 0
+
+    @classmethod
+    def from_arrays(cls, supports, values, nnz, dim: int) -> "SparseCodeMatrix":
+        """Wrap padded (supports, values, nnz) arrays without copying."""
+        X = object.__new__(cls)
+        X.supports, X.values, X.nnz, X.dim = supports, values, nnz, dim
+        return X
 
     @property
     def n_columns(self) -> int:
-        return len(self.columns)
+        return self.nnz.size
 
     @property
-    def dim(self) -> int:
-        return self.columns[0].dim if self.columns else 0
+    def columns(self) -> list[SparseCode]:
+        return [
+            _trusted_code(self.supports[i, :k], self.values[i, :k], self.dim)
+            for i, k in enumerate(self.nnz.tolist())
+        ]
+
+    def occupied(self) -> np.ndarray:
+        """Boolean mask of the slots in use, shaped like supports."""
+        return np.arange(self.supports.shape[1]) < self.nnz[:, None]
 
     def to_dense(self) -> np.ndarray:
-        X = np.zeros((self.dim, len(self.columns)))
-        for i, c in enumerate(self.columns):
-            X[c.support, i] = c.values
+        X = np.zeros((self.dim, self.n_columns))
+        used = self.occupied()
+        X[self.supports[used], np.nonzero(used)[0]] = self.values[used]
         return X
 
     @classmethod
     def from_dense(cls, X: np.ndarray) -> "SparseCodeMatrix":
         X = np.asarray(X, dtype=float)
-        cols = []
-        for i in range(X.shape[1]):
-            sup = np.flatnonzero(X[:, i])
-            cols.append(SparseCode(sup, X[sup, i], X.shape[0]))
-        return cls(cols)
+        return cls([SparseCode(np.flatnonzero(x), x[x != 0], X.shape[0]) for x in X.T])
 
 
 @dataclass(frozen=True)
@@ -128,96 +154,111 @@ class CodingConfig:
             raise CodingError("residual_tol must be nonnegative")
 
 
-def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
-    """Orthogonal Matching Pursuit for one signal.
+# Signals coded in one lockstep pass; bounds the kernel's (chunk x s x n)
+# temporaries whatever the number of signals.
+_CHUNK = 256
 
-    Greedily selects the atom with largest |d_j^T r| (ties to the lowest
-    index), re-solves least squares on the accumulated support through the
-    Cholesky factor of the support Gram matrix, and updates the residual.
-    Stops at s selected atoms or when the residual norm drops below the
-    early-exit threshold.
-    """
+
+def _weighted_rows(base: np.ndarray, rows: np.ndarray, supports: np.ndarray,
+                   coef: np.ndarray) -> np.ndarray:
+    """base[i] - sum_j coef[i, j] * rows[supports[i, j]], one product per i."""
+    return base - np.matmul(coef[:, None, :], rows[supports])[:, 0, :]
+
+
+def _batch_omp(D: Dictionary, Y: np.ndarray, cfg: CodingConfig) -> SparseCodeMatrix:
+    """Batch-OMP on every column of Y, _CHUNK columns in lockstep at a time,
+    with G = D^T D computed once."""
     A = D.atoms
     m, n = A.shape
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != m:
-        raise CodingError(f"signal dimension {y.shape[0]} != dictionary dimension {m}")
+    if Y.shape[0] != m:
+        raise CodingError(f"signal dimension {Y.shape[0]} != dictionary dimension {m}")
     if cfg.s > n:
         raise CodingError(f"sparsity {cfg.s} exceeds atom count {n}")
+    N = Y.shape[1]
+    G = A.T @ A
+    supports = np.zeros((N, cfg.s), dtype=int)
+    values = np.zeros((N, cfg.s))
+    nnz = np.zeros(N, dtype=int)
+    for lo in range(0, N, _CHUNK):
+        hi = min(lo + _CHUNK, N)
+        _lockstep(A, G, Y[:, lo:hi], cfg, lo, supports[lo:hi], values[lo:hi], nnz[lo:hi])
+    return SparseCodeMatrix.from_arrays(supports, values, nnz, n)
 
-    tol = max(cfg.residual_tol, 1e-9 * np.linalg.norm(y))
-    support: list[int] = []
-    coef = np.empty(0)
-    r = y
-    while len(support) < cfg.s and np.linalg.norm(r) > tol:
-        corr = np.abs(A.T @ r)
-        if support:
-            corr[support] = -1.0
-        j = int(np.argmax(corr))
-        support.append(j)
-        S = A[:, support]
-        gram = S.T @ S
+
+def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
+    """Code the columns of Y (the first is column `first` of the batch) into
+    the given output rows. Each step picks, for every live column, the atom
+    with the largest |d_j^T r| (ties to the lowest index) from the correlations
+    D^T y - G[:, S] x_S and re-solves least squares on the grown support. A
+    column stops at s atoms or once ||y - D_S x_S|| drops below its threshold.
+    """
+    Yt = np.ascontiguousarray(Y.T)
+    alpha0 = np.matmul(Yt[:, None, :], A)[:, 0, :]  # one product per signal
+    ynorm = np.linalg.norm(Yt, axis=1)
+    tol = np.maximum(cfg.residual_tol, 1e-9 * ynorm)
+    live = np.flatnonzero(ynorm > tol)
+    a0, y, tol = alpha0[live], Yt[live], tol[live]
+    S = np.zeros((live.size, cfg.s), dtype=int)
+    coef = np.zeros((live.size, cfg.s))
+    for k in range(cfg.s):
+        if live.size == 0:
+            return
+        rows = np.arange(live.size)[:, None]
+        corr = np.abs(_weighted_rows(a0, G, S[:, :k], coef[:, :k]))
+        corr[rows, S[:, :k]] = -1.0
+        S[:, k] = np.argmax(corr, axis=1)
+        Sk = S[:, :k + 1]
+        gram = G[Sk[:, :, None], Sk[:, None, :]]
         try:
-            np.linalg.cholesky(gram)  # positive-definiteness guard
-            coef = np.linalg.solve(gram, S.T @ y)
+            coef[:, :k + 1] = np.linalg.solve(gram, a0[rows, Sk, None])[:, :, 0]
         except np.linalg.LinAlgError:
+            i = int(np.argmin(np.abs(np.linalg.det(gram))))
             raise CodingError(
-                f"singular support sub-matrix on atoms {support} "
-                "(duplicate or collinear atoms)"
+                f"column {first + live[i]}: singular support sub-matrix on atoms "
+                f"{Sk[i].tolist()} (duplicate or collinear atoms)"
             ) from None
-        r = y - S @ coef
-    return SparseCode(np.array(support, dtype=int), coef, n)
+        if k + 1 < cfg.s:
+            r = _weighted_rows(y, A.T, Sk, coef[:, :k + 1])
+            done = np.sqrt((r * r).sum(axis=1)) <= tol
+            if done.any():
+                out = live[done]
+                supports[out], values[out], nnz[out] = S[done], coef[done], k + 1
+                keep = ~done
+                live, a0, y, tol, S, coef = (v[keep] for v in (live, a0, y, tol, S, coef))
+    supports[live], values[live], nnz[live] = S, coef, cfg.s
 
 
-def _coding_threads() -> int:
-    raw = os.environ.get("DICTAD_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(k, 1)
+def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
+    """Orthogonal Matching Pursuit for one signal (the kernel on one column)."""
+    y = np.asarray(y, dtype=float).reshape(-1, 1)
+    return _batch_omp(D, y, cfg).columns[0]
 
 
 def batch_code(D: Dictionary, Y: np.ndarray, cfg: CodingConfig) -> SparseCodeMatrix:
-    """Code every column of Y independently with omp.
-
-    Columns are mutually independent; DICTAD_THREADS > 1 evaluates them in a
-    thread pool. Output order is by column index regardless.
-    """
+    """Code every column of Y; column i's code equals omp(D, Y[:, i], cfg)."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] < 1:
         raise CodingError("batch input must be an m x N matrix with N >= 1")
+    return _batch_omp(D, Y, cfg)
 
-    def code_one(i):
-        try:
-            return omp(D, Y[:, i], cfg)
-        except CodingError as e:
-            raise CodingError(f"column {i}: {e}") from None
 
-    threads = _coding_threads()
-    if threads > 1 and Y.shape[1] > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(code_one, range(Y.shape[1])))
-    else:
-        cols = [code_one(i) for i in range(Y.shape[1])]
-    return SparseCodeMatrix(cols)
+def residuals(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> np.ndarray:
+    """Per-signal residuals y_i - D x_i as the rows of an N x m array."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape[0] != D.m or Y.shape[1] != X.n_columns or (X.n_columns and X.dim != D.n):
+        raise CodingError(
+            f"dimension mismatch: Y {Y.shape}, D {D.atoms.shape}, X {X.dim}x{X.n_columns}"
+        )
+    chunks = [slice(lo, lo + _CHUNK) for lo in range(0, max(X.n_columns, 1), _CHUNK)]
+    return np.concatenate([_weighted_rows(Y.T[c], D.atoms.T, X.supports[c], X.values[c])
+                           for c in chunks])
 
 
 def representation_errors(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> np.ndarray:
     """Per-signal residual norms e_i = ||y_i - D x_i||_2."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape[0] != D.m or Y.shape[1] != X.n_columns or (X.columns and X.dim != D.n):
-        raise CodingError(
-            f"dimension mismatch: Y {Y.shape}, D {D.atoms.shape}, X {X.dim}x{X.n_columns}"
-        )
-    return np.linalg.norm(Y - D.atoms @ X.to_dense(), axis=0)
+    return np.linalg.norm(residuals(D, Y, X), axis=1)
 
 
 def atom_popularity(X: SparseCodeMatrix) -> np.ndarray:
     """p_j = number of columns whose support contains atom j."""
-    p = np.zeros(X.dim, dtype=int)
-    for c in X.columns:
-        p[c.support] += 1
-    return p
+    return np.bincount(X.supports[X.occupied()], minlength=X.dim)

@@ -192,3 +192,28 @@ def test_cli_bad_csv_exit_3(tmp_path, capsys):
     ])
     assert rc == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("csv_text, preds_text", [
+    ("a,b,Class\n1,2,0\n3,1\n", "0\n0\n"),
+    ("a,b,Class\n1,nan,0\n3,4,1\n", "0\n1\n"),
+    ("a,b,Class\n1,2,0\n3,4,7\n", "0\n1\n"),
+    ("a,b,Class\n1,2,0\n3,4,1\n", "0\n1.5\n"),
+    (None, "0\n1\n"),
+    ("a,b,Class\n1,2,0\n3,4,1\n", None),
+], ids=["ragged-row", "nan-cell", "label-7", "non-integer-prediction",
+        "missing-dataset", "missing-predictions"])
+def test_cli_malformed_input_exit_3(tmp_path, capsys, csv_text, preds_text):
+    data, preds = tmp_path / "data.csv", tmp_path / "preds.txt"
+    if csv_text is not None:
+        data.write_text(csv_text)
+    if preds_text is not None:
+        preds.write_text(preds_text)
+    rc = main([
+        "eval", "--out", str(tmp_path / "o"), "--dataset", str(data),
+        "--schema", "generic", "--label-column", "Class", "--predictions", str(preds),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error: ")
+    assert err.count("\n") == 1

@@ -309,3 +309,19 @@ def test_rls_unused_atom_under_forgetting_stays_finite():
 def test_spectral_norm_non_finite_raises():
     with pytest.raises(NumericalError):
         spectral_norm(np.full((3, 3), np.nan))
+
+
+def test_toddler_step_leaves_caller_model_unchanged():
+    rng = np.random.default_rng(16)
+    m, n, s = 10, 8, 2
+    Dt, _, _ = planted_instance(m, n, 1, 1, seed=16)
+    X = _sparse_cols(rng, n, s, 30)
+    model = _model(Dt)
+    D0, W0, A0 = model.D.atoms.copy(), model.W.copy(), model.A.copy()
+    st = init_state(model, Dt @ X, SparseCodeMatrix.from_dense(X), phi=0.95,
+                    coding=CodingConfig(s))
+    toddler_step(st, Dt[:, 0] + 0.3 * rng.standard_normal(m))
+    assert not np.array_equal(st.model.D.atoms, D0)
+    assert np.array_equal(model.D.atoms, D0)
+    assert np.array_equal(model.W, W0)
+    assert np.array_equal(model.A, A0)
