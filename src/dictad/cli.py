@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Verbs: pretrain, toddler, addl, popularity, synth, eval. Parameters come
-from an optional JSON config file (--config) and are overridable by flags.
+from an optional JSON config file (--config) and are overridable by flags;
+both are built from and checked against experiments.PARAMS.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
 
@@ -12,89 +13,51 @@ import json
 import sys
 
 from .errors import ConfigError, DataError, NumericalError
-from .experiments import run_experiment
+from .experiments import PARAMS, run_experiment
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file with experiment parameters")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--out", default="out", help="output directory (default: ./out)")
-    p.add_argument("--dataset", help="input CSV path")
-    p.add_argument("--schema", choices=["ulb", "generic"], help="CSV schema")
-    p.add_argument("--label-column", dest="label_column", help="label column (generic schema)")
-    p.add_argument("--normalize", action="store_const", const=True,
-                   help="z-score features before the experiment")
-    p.add_argument("--subsample-ratio", dest="subsample_ratio", type=int,
-                   help="normals-per-anomaly subsampling ratio (0 = off)")
-    p.add_argument("--sparsity", type=int, help="OMP sparsity s")
-    p.add_argument("--residual-tol", dest="residual_tol", type=float,
-                   help="OMP residual early-exit norm")
-    p.add_argument("--dl-iterations", dest="dl_iterations", type=int,
-                   help="AK-SVD iterations per training")
-    p.add_argument("--stage-atoms", dest="stage_atoms", type=int,
-                   help="dictionary atoms per training stage")
+VERBS = {
+    "pretrain": "LC-KSVD offline pretraining",
+    "toddler": "semi-supervised online run (pretrain + stream)",
+    "addl": "error-threshold unsupervised filter",
+    "popularity": "atom-popularity unsupervised filter",
+    "synth": "generate a planted-anomaly dataset CSV",
+    "eval": "confusion report for a predictions file",
+}
+
+
+def _help(row) -> str:
+    bounds = f" in {row.domain}" if isinstance(row.domain, str) else ""
+    default = "" if row.default is None else f"; default {row.default}"
+    return f"{row.help} ({row.type.__name__}{bounds}{default})"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ConfigError line, not a usage dump."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="dictad",
-                                 description="dictionary-learning anomaly detection experiments")
+    ap = _Parser(prog="dictad", description="dictionary-learning anomaly detection experiments")
     sub = ap.add_subparsers(dest="method", required=True)
-
-    p = sub.add_parser("pretrain", help="LC-KSVD offline pretraining")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, help="classifier weight")
-    p.add_argument("--beta", type=float, help="label-consistency weight")
-    p.add_argument("--atoms-per-class", dest="atoms_per_class", type=int)
-
-    p = sub.add_parser("toddler", help="semi-supervised online run (pretrain + stream)")
-    _add_common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--atoms-per-class", dest="atoms_per_class", type=int)
-    p.add_argument("--phi", type=float, help="forgetting factor (default 0.95)")
-    p.add_argument("--lambda-policy", dest="lambda_policy",
-                   choices=["gram-norm", "model-norms", "fixed"])
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--pretrain-fraction", dest="pretrain_fraction", type=float)
-
-    p = sub.add_parser("addl", help="error-threshold unsupervised filter")
-    _add_common(p)
-    p.add_argument("--global-iterations", dest="global_iterations", type=int)
-
-    p = sub.add_parser("popularity", help="atom-popularity unsupervised filter")
-    _add_common(p)
-    p.add_argument("--n-anomalies", dest="n_anomalies", type=int)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--literal-set-builder", dest="literal_set_builder",
-                   action="store_const", const=True)
-
-    p = sub.add_parser("synth", help="generate a planted-anomaly dataset CSV")
-    _add_common(p)
-    p.add_argument("--n-normal", dest="n_normal", type=int)
-    p.add_argument("--n-anomaly", dest="n_anomaly", type=int)
-    p.add_argument("--features", type=int, help="signal dimension m")
-    p.add_argument("--normal-atoms", dest="normal_atoms", type=int)
-    p.add_argument("--anomaly-atoms", dest="anomaly_atoms", type=int)
-    p.add_argument("--s-gen", dest="s_gen", type=int)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-
-    p = sub.add_parser("eval", help="confusion report for a predictions file")
-    _add_common(p)
-    p.add_argument("--predictions", help="file with one 0/1 estimate per line")
-
+    for verb, text in VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("--config", help="JSON config file with experiment parameters")
+        p.add_argument("--out", default="out", help="output directory (default: ./out)")
+        for row in (r for r in PARAMS if verb in r.verbs):
+            flag = "--" + row.name.replace("_", "-")
+            if row.type is bool:
+                p.add_argument(flag, action="store_const", const=True, help=row.help)
+            else:
+                p.add_argument(flag, type=row.type, help=_help(row),
+                               choices=row.domain if isinstance(row.domain, tuple) else None)
     return ap
-
-
-_SYNTH_KEYS = {
-    "n_normal": "n_normal", "n_anomaly": "n_anomaly", "features": "m",
-    "normal_atoms": "normal_atoms", "anomaly_atoms": "anomaly_atoms",
-    "s_gen": "s_gen", "noise_sigma": "noise_sigma",
-}
 
 
 def _collect_params(args: argparse.Namespace) -> dict:
@@ -102,28 +65,20 @@ def _collect_params(args: argparse.Namespace) -> dict:
     if args.config:
         try:
             with open(args.config) as f:
-                params.update(json.load(f))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as e:
+                params = json.load(f)
+        except OSError as e:
+            raise ConfigError(f"cannot read config file {args.config}: {e.strerror}") from None
+        except ValueError as e:
             raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from None
-    overrides = {k: v for k, v in vars(args).items()
-                 if v is not None and k not in ("config", "out", "method")}
-    if args.method == "synth":
-        synth = dict(params.get("synth") or {})
-        synth.setdefault("seed", overrides.get("seed", params.get("seed", 0)))
-        for flag, field in _SYNTH_KEYS.items():
-            overrides.pop(flag, None)
-            if getattr(args, flag, None) is not None:
-                synth[field] = getattr(args, flag)
-        params["synth"] = synth
-    params.update(overrides)
-    return params
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("config", "out", "method")}
+    # a config that is not an object is reported by run_experiment
+    return {**params, **flags} if isinstance(params, dict) else params
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = run_experiment(args.method, _collect_params(args), args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

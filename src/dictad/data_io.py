@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +95,7 @@ def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Data
             raise DataError(f"{path}: missing expected columns {missing}")
         fidx = [header.index(c) for c in features]
         lidx = header.index(label_column) if label_column is not None else None
-        rows, labels = [], []
+        rows, labels = array("d"), []
         for rnum, rec in enumerate(reader, start=2):
             if not rec:
                 continue
@@ -102,7 +103,7 @@ def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Data
                 raise DataError(
                     f"{path}: row {rnum} has {len(rec)} fields, the header has {len(header)}"
                 )
-            rows.append([_parse_cell(rec[i], rnum, header[i]) for i in fidx])
+            rows.extend(_parse_cell(rec[i], rnum, header[i]) for i in fidx)
             if lidx is not None:
                 label = _parse_cell(rec[lidx], rnum, label_column)
                 if label not in (0.0, 1.0):
@@ -110,7 +111,7 @@ def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Data
                 labels.append(int(label))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    Y = np.array(rows).T
+    Y = np.array(rows).reshape(-1, len(features)).T
     if not np.all(np.isfinite(Y)):
         j, i = np.argwhere(~np.isfinite(Y))[0]
         raise DataError(f"{path}: non-finite value in data row {i + 1}, column {features[j]!r}")

@@ -1,19 +1,22 @@
 """Experiment drivers behind the CLI.
 
-Each driver consumes a flat parameter dict (config file merged with flag
-overrides), runs one experiment and writes its artifacts plus a
-result.json echoing the full configuration, the metrics and the wall time.
-Identical config + seed reruns produce byte-identical artifacts except the
-wall-time field.
+run_experiment checks and completes a flat parameter dict against PARAMS
+before it touches a file; each driver then runs one experiment and writes
+its artifacts plus a result.json echoing the full configuration, the
+metrics and the wall time. Identical config + seed reruns produce
+byte-identical artifacts except the wall-time field.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import time
-from dataclasses import replace
+from collections import namedtuple
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,96 +36,146 @@ from .online import (
 from .sparse_coding import CodingConfig, batch_code
 from .supervised import PretrainConfig, classify, pretrain, save_model
 
+# One row per parameter: config key and --flag name, type, range "[lo, hi)"
+# or choices, default, the verbs that take it (as a flag, and with the
+# default filled in), help text, and the SynthConfig field that a synth-verb
+# flag sets.
+Param = namedtuple("Param", "name type domain default verbs help synth", defaults=(None,))
+ALL = ("pretrain", "toddler", "addl", "popularity", "synth", "eval")
+SUPERVISED = ("pretrain", "toddler")
+
 # paper-protocol defaults: s = 5, 20 AK-SVD iterations, phi = 0.95, gram-norm lambdas
-DEFAULTS = {
-    "sparsity": 5,
-    "residual_tol": 0.0,
-    "dl_iterations": 20,
-    "stage_atoms": 16,
-    "phi": 0.95,
-    "lambda_policy": "gram-norm",
-    "alpha": 1.0,
-    "beta": 1.0,
-    "atoms_per_class": 8,
-    "pretrain_fraction": 0.1,
-    "normalize": False,
-    "subsample_ratio": 0,
-    "seed": 0,
-}
+PARAMS = (
+    Param("seed", int, "[0, inf)", 0, ALL, "random seed"),
+    Param("dataset", str, None, None, ALL, "input CSV path"),
+    Param("schema", str, ("ulb", "generic"), "ulb", ALL, "CSV schema"),
+    Param("label_column", str, None, None, ALL, "label column for the generic schema"),
+    Param("normalize", bool, None, False, ALL, "z-score features before the experiment"),
+    Param("subsample_ratio", int, "[0, inf)", 0, ALL, "normals kept per anomaly, 0 = off"),
+    Param("sparsity", int, "[1, inf)", 5, ALL, "OMP sparsity s"),
+    Param("residual_tol", float, "[0, inf)", 0.0, ALL, "OMP residual early-exit norm"),
+    Param("dl_iterations", int, "[1, inf)", 20, ALL, "AK-SVD iterations per training"),
+    Param("stage_atoms", int, "[1, inf)", 16, ALL, "atoms per training stage, >= sparsity"),
+    Param("alpha", float, "[0, inf)", 1.0, SUPERVISED, "classifier weight"),
+    Param("beta", float, "[0, inf)", 1.0, SUPERVISED, "label-consistency weight"),
+    Param("atoms_per_class", int, "[1, inf)", 8, SUPERVISED, "dictionary atoms per class"),
+    Param("phi", float, "(0, 1]", 0.95, ("toddler",), "forgetting factor"),
+    Param("lambda_policy", str, ("gram-norm", "model-norms", "fixed"), "gram-norm",
+          ("toddler",), "regularization weights; fixed needs lambda1 and lambda2"),
+    Param("lambda1", float, "(0, inf)", None, ("toddler",), "fixed classifier-update weight"),
+    Param("lambda2", float, "(0, inf)", None, ("toddler",), "fixed label-map-update weight"),
+    Param("pretrain_fraction", float, "(0, 1)", 0.1, ("toddler",), "share used to pretrain"),
+    Param("global_iterations", int, "[1, inf)", 10, ("addl",), "filter iterations"),
+    Param("n_anomalies", int, "[1, inf)", None, ("popularity",),
+          "signals to flag; default: the labeled anomaly count"),
+    Param("max_iterations", int, "[1, inf)", 100, ("popularity",), "filter iteration cap"),
+    Param("literal_set_builder", bool, None, False, ("popularity",),
+          "keep signals that touch a popular atom instead of a rare one"),
+    Param("n_normal", int, "[1, inf)", None, ("synth",), "normal samples", "n_normal"),
+    Param("n_anomaly", int, "[0, inf)", None, ("synth",), "anomalies, <= n_normal", "n_anomaly"),
+    Param("features", int, "[1, inf)", None, ("synth",), "signal dimension", "m"),
+    Param("normal_atoms", int, "[1, inf)", None, ("synth",), "normal atoms", "normal_atoms"),
+    Param("anomaly_atoms", int, "[1, inf)", None, ("synth",), "anomaly atoms", "anomaly_atoms"),
+    Param("s_gen", int, "[1, inf)", None, ("synth",), "atoms per generated signal", "s_gen"),
+    Param("noise_sigma", float, "[0, inf)", None, ("synth",), "noise level", "noise_sigma"),
+    Param("predictions", str, None, None, ("eval",), "file with one 0/1 estimate per line"),
+    Param("synth", dict, None, None, (), "SynthConfig fields; replaces the dataset"),
+)
+
+_ROWS = {p.name: p for p in PARAMS}
+# keys and types of the synth object come from SynthConfig, ranges from the rows
+_SYNTH_TYPES = get_type_hints(SynthConfig)
+_SYNTH_DOMAINS = {"seed": _ROWS["seed"].domain, **{p.synth: p.domain for p in PARAMS if p.synth}}
+_KINDS = {int: numbers.Integral, float: numbers.Real, str: str, bool: bool, dict: dict}
 
 
-def merged_params(params: dict) -> dict:
-    out = dict(DEFAULTS)
-    out.update({k: v for k, v in params.items() if v is not None})
+def _check(key: str, value, typ: type, domain):
+    """value as typ; ConfigError when its type is wrong (bools are not
+    numbers, 2.7 is not an int), it is not finite or it lies outside domain."""
+    if isinstance(value, bool) != (typ is bool) or not isinstance(value, _KINDS[typ]):
+        raise ConfigError(f"{key} must be of type {typ.__name__}, got {value!r}")
+    value = typ(value)
+    if isinstance(domain, str):
+        lo, hi = (float(b) for b in domain[1:-1].split(","))
+        inside = ((lo < value if domain[0] == "(" else lo <= value)
+                  and (value < hi if domain[-1] == ")" else value <= hi))
+    else:
+        inside = domain is None or value in domain
+    if not inside or (typ is float and not math.isfinite(value)):
+        raise ConfigError(f"{key} must be in {domain}, got {value!r}")
+    return value
+
+
+def resolve_params(method: str, params: dict) -> dict:
+    """params checked against PARAMS and completed with the defaults of
+    method's rows. Unknown keys, wrong types, non-finite floats, values out
+    of range and broken cross-key rules raise ConfigError. None counts as
+    absent; a known key of another verb is accepted."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"parameters must be an object, got {type(params).__name__}")
+    out = {p.name: p.default for p in PARAMS if method in p.verbs and not p.synth}
+    for key, value in params.items():
+        if key not in _ROWS:
+            raise ConfigError(f"unknown parameter {key!r}")
+        if value is not None:
+            out[key] = _check(key, value, _ROWS[key].type, _ROWS[key].domain)
+    synth = out.pop("synth", None) or {}
+    if method == "synth":
+        synth.update({p.synth: out.pop(p.name) for p in PARAMS if p.synth and p.name in out})
+        synth.setdefault("seed", out["seed"])
+    for key, value in synth.items():
+        if key not in _SYNTH_TYPES:
+            raise ConfigError(f"unknown synth parameter {key!r}")
+        synth[key] = _check(f"synth.{key}", value, _SYNTH_TYPES[key], _SYNTH_DOMAINS.get(key))
+    if synth:
+        try:  # a missing field, or more anomalies than normals
+            SynthConfig(**synth)
+        except (TypeError, DataError) as e:
+            raise ConfigError(f"synth: {e}") from None
+        out["synth"] = synth
+    elif out["dataset"] is None:
+        raise ConfigError("no dataset: provide 'dataset' (CSV path) or 'synth' parameters")
+    if method not in ("synth", "eval") and out["stage_atoms"] < out["sparsity"]:
+        raise ConfigError(f"stage_atoms {out['stage_atoms']} < sparsity {out['sparsity']}")
+    if method == "toddler" and out["lambda_policy"] == "fixed" and None in (
+            out["lambda1"], out["lambda2"]):
+        raise ConfigError("lambda_policy fixed needs lambda1 and lambda2")
+    if method == "eval" and out["predictions"] is None:
+        raise ConfigError("evaluation needs a 'predictions' file (one 0/1 per line)")
     return out
 
 
 def _load_dataset(params: dict) -> Dataset:
-    if params.get("synth"):
-        try:
-            ds = synth_generate(SynthConfig(**params["synth"]))
-        except TypeError as e:
-            raise ConfigError(f"bad synth parameters: {e}") from None
-    elif params.get("dataset"):
-        ds = load_csv(
-            params["dataset"],
-            schema=params.get("schema", "ulb"),
-            label_column=params.get("label_column"),
-        )
+    if "synth" in params:
+        ds = synth_generate(SynthConfig(**params["synth"]))
     else:
-        raise ConfigError("no dataset: provide 'dataset' (CSV path) or 'synth' parameters")
-    if params.get("normalize"):
+        ds = load_csv(params["dataset"], schema=params["schema"],
+                      label_column=params["label_column"])
+    if params["normalize"]:
         ds = normalize(ds)
-    ratio = int(params.get("subsample_ratio") or 0)
-    if ratio > 0:
-        ds = subsample(ds, ratio, int(params["seed"]))
+    if params["subsample_ratio"] > 0:
+        ds = subsample(ds, params["subsample_ratio"], params["seed"])
     return ds
 
 
 def _coding(params) -> CodingConfig:
-    return CodingConfig(int(params["sparsity"]), float(params["residual_tol"]))
+    return CodingConfig(params["sparsity"], params["residual_tol"])
 
 
 def _stage_dl(params) -> DLConfig:
-    return DLConfig(
-        n_atoms=int(params["stage_atoms"]),
-        iterations=int(params["dl_iterations"]),
-        coding=_coding(params),
-        seed=int(params["seed"]),
-    )
+    return DLConfig(params["stage_atoms"], params["dl_iterations"], _coding(params),
+                    seed=params["seed"])
 
 
 def _lambda_policy(params):
-    kind = params["lambda_policy"]
-    if kind == "gram-norm":
-        return GRAM_NORM
-    if kind == "model-norms":
-        return MODEL_NORMS
-    if kind == "fixed":
-        return fixed_lambdas(float(params["lambda1"]), float(params["lambda2"]))
-    raise ConfigError(f"unknown lambda policy {kind!r}")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    return obj
+    if params["lambda_policy"] == "fixed":
+        return fixed_lambdas(params["lambda1"], params["lambda2"])
+    return GRAM_NORM if params["lambda_policy"] == "gram-norm" else MODEL_NORMS
 
 
 def _write_result(out_dir: Path, method: str, params: dict, metrics: dict, t0: float):
-    result = {
-        "method": method,
-        "config": _jsonable(params),
-        "seed": int(params["seed"]),
-        "metrics": _jsonable(metrics),
-        "wall_time_s": time.perf_counter() - t0,
-    }
+    result = {"method": method, "config": params, "seed": params["seed"], "metrics": metrics,
+              "wall_time_s": time.perf_counter() - t0}
     with open(out_dir / "result.json", "w") as f:
         json.dump(result, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -132,12 +185,8 @@ def _write_result(out_dir: Path, method: str, params: dict, metrics: dict, t0: f
 def _pretrain_model(ds: Dataset, params: dict):
     if ds.labels is None:
         raise DataError("pretraining needs labels")
-    cfg = PretrainConfig(
-        alpha=float(params["alpha"]),
-        beta=float(params["beta"]),
-        atoms_per_class=int(params["atoms_per_class"]),
-        dl=_stage_dl(params),
-    )
+    cfg = PretrainConfig(params["alpha"], params["beta"], params["atoms_per_class"],
+                         _stage_dl(params))
     return pretrain(ds.Y, ds.labels, cfg)
 
 
@@ -159,30 +208,21 @@ def run_toddler(params: dict, out_dir: Path) -> dict:
     if ds.labels is None:
         raise DataError("the online experiment needs labels for evaluation")
     N = ds.n_samples
-    frac = float(params["pretrain_fraction"])
-    if not (0.0 < frac < 1.0):
-        raise ConfigError("pretrain_fraction must lie in (0, 1)")
-    rng = np.random.default_rng(int(params["seed"]))
+    rng = np.random.default_rng(params["seed"])
     order = rng.permutation(N)
-    n_pre = max(2, int(np.ceil(frac * N)))
+    n_pre = max(2, int(np.ceil(params["pretrain_fraction"] * N)))
     pre_idx, stream_idx = order[:n_pre], order[n_pre:]
     if len(set(ds.labels[pre_idx])) < 2:
         raise DataError("pretraining split does not contain both classes")
     if stream_idx.size == 0:
         raise DataError("nothing left to stream after the pretraining split")
 
-    pre_params = dict(params)
-    model = _pretrain_model(
-        Dataset(ds.Y[:, pre_idx], ds.labels[pre_idx], ds.feature_names), pre_params
-    )
+    model = _pretrain_model(Dataset(ds.Y[:, pre_idx], ds.labels[pre_idx], ds.feature_names),
+                            params)
     coding = _coding(params)
     warm_X = batch_code(model.D, ds.Y[:, pre_idx], coding)
-    state = init_state(
-        model, ds.Y[:, pre_idx], warm_X,
-        phi=float(params["phi"]),
-        lambda_policy=_lambda_policy(params),
-        coding=coding,
-    )
+    state = init_state(model, ds.Y[:, pre_idx], warm_X, phi=params["phi"],
+                       lambda_policy=_lambda_policy(params), coding=coding)
 
     preds = np.empty(stream_idx.size, dtype=int)
     with open(out_dir / "predictions.csv", "w", newline="") as f:
@@ -194,10 +234,8 @@ def run_toddler(params: dict, out_dir: Path) -> dict:
             w.writerow([int(i), int(outcome.predicted_class), int(ds.labels[i])])
     rep = confusion(ds.labels[stream_idx], preds)
     save_state(out_dir / "checkpoint.npz", state)
-    return _write_result(
-        out_dir, "toddler", params,
-        {"stream": rep.as_dict(), "n_pretrain": int(n_pre)}, t0,
-    )
+    metrics = {"stream": rep.as_dict(), "n_pretrain": n_pre}
+    return _write_result(out_dir, "toddler", params, metrics, t0)
 
 
 def _write_labels(out_dir: Path, labels):
@@ -215,11 +253,7 @@ def _filter_metrics(ds: Dataset, labels, trace) -> dict:
 def run_addl(params: dict, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     ds = _load_dataset(params)
-    cfg = ADDLConfig(
-        global_iterations=int(params.get("global_iterations", 10)),
-        per_stage=_stage_dl(params),
-        coding=_coding(params),
-    )
+    cfg = ADDLConfig(params["global_iterations"], _stage_dl(params), _coding(params))
     labels, trace = addl_run(ds.Y, cfg, truth=ds.labels)
     _write_labels(out_dir, labels)
     trace.to_csv(out_dir / "trace.csv")
@@ -229,18 +263,13 @@ def run_addl(params: dict, out_dir: Path) -> dict:
 def run_popularity(params: dict, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     ds = _load_dataset(params)
-    n_anom = params.get("n_anomalies")
+    n_anom = params["n_anomalies"]
     if n_anom is None:
         if ds.labels is None:
             raise ConfigError("n_anomalies is required when the dataset has no labels")
         n_anom = int(np.sum(ds.labels == 1))
-    cfg = PopularityConfig(
-        n_anomalies=int(n_anom),
-        per_stage=_stage_dl(params),
-        coding=_coding(params),
-        max_iterations=int(params.get("max_iterations", 100)),
-        literal_set_builder=bool(params.get("literal_set_builder", False)),
-    )
+    cfg = PopularityConfig(n_anom, _stage_dl(params), _coding(params),
+                           params["max_iterations"], params["literal_set_builder"])
     labels, trace = popularity_filter_run(ds.Y, cfg, truth=ds.labels)
     _write_labels(out_dir, labels)
     trace.to_csv(out_dir / "trace.csv")
@@ -249,8 +278,6 @@ def run_popularity(params: dict, out_dir: Path) -> dict:
 
 def run_synth(params: dict, out_dir: Path) -> dict:
     t0 = time.perf_counter()
-    if not params.get("synth"):
-        raise ConfigError("synth experiment needs 'synth' parameters")
     ds = synth_generate(SynthConfig(**params["synth"]))
     save_csv(ds, out_dir / "dataset.csv")
     metrics = {"n_samples": ds.n_samples, "n_features": ds.n_features,
@@ -263,9 +290,7 @@ def run_eval(params: dict, out_dir: Path) -> dict:
     ds = _load_dataset(params)
     if ds.labels is None:
         raise DataError("evaluation needs ground-truth labels in the dataset")
-    pred_path = params.get("predictions")
-    if not pred_path:
-        raise ConfigError("evaluation needs a 'predictions' file (one 0/1 per line)")
+    pred_path = params["predictions"]
     preds = []
     try:
         with open(pred_path) as f:
@@ -294,6 +319,7 @@ RUNNERS = {
 def run_experiment(method: str, params: dict, out_dir) -> dict:
     if method not in RUNNERS:
         raise ConfigError(f"unknown method {method!r}")
+    params = resolve_params(method, params)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return RUNNERS[method](merged_params(params), out_dir)
+    return RUNNERS[method](params, out_dir)

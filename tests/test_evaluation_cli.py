@@ -217,3 +217,85 @@ def test_cli_malformed_input_exit_3(tmp_path, capsys, csv_text, preds_text):
     assert rc == 3
     assert err.startswith("data error: ")
     assert err.count("\n") == 1
+
+
+_COMMON_FLAGS = {
+    "-h", "--help", "--config", "--seed", "--out", "--dataset", "--schema", "--label-column",
+    "--normalize", "--subsample-ratio", "--sparsity", "--residual-tol", "--dl-iterations",
+    "--stage-atoms",
+}
+_SUPERVISED_FLAGS = {"--alpha", "--beta", "--atoms-per-class"}
+
+
+def test_cli_flag_surface():
+    from argparse import _SubParsersAction
+
+    from dictad.cli import build_parser
+
+    verbs = next(a for a in build_parser()._actions if isinstance(a, _SubParsersAction)).choices
+    surface = {verb: {s for a in p._actions for s in a.option_strings} - _COMMON_FLAGS
+               for verb, p in verbs.items()}
+    assert all({s for a in p._actions for s in a.option_strings} >= _COMMON_FLAGS
+               for p in verbs.values())
+    assert surface == {
+        "pretrain": _SUPERVISED_FLAGS,
+        "toddler": _SUPERVISED_FLAGS | {"--phi", "--lambda-policy", "--lambda1", "--lambda2",
+                                        "--pretrain-fraction"},
+        "addl": {"--global-iterations"},
+        "popularity": {"--n-anomalies", "--max-iterations", "--literal-set-builder"},
+        "synth": {"--n-normal", "--n-anomaly", "--features", "--normal-atoms",
+                  "--anomaly-atoms", "--s-gen", "--noise-sigma"},
+        "eval": {"--predictions"},
+    }
+
+
+_SYNTH_SECTION = {"n_normal": 40, "n_anomaly": 8, "m": 12, "normal_atoms": 4,
+                  "anomaly_atoms": 3, "s_gen": 2, "noise_sigma": 0.01}
+_SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
+               "--normal-atoms", "4", "--anomaly-atoms", "3", "--s-gen", "2"]
+
+
+@pytest.mark.parametrize("verb, config, flags", [
+    ("addl", {"sparsity": "five"}, []),
+    ("addl", {"sparsty": 5, "stage_atoms": 4}, []),
+    ("eval", {"normalize": "no"}, []),
+    ("addl", {"dl_iterations": 2.7}, []),
+    ("addl", {"sparsity": True}, []),
+    ("toddler", {"phi": float("nan")}, []),
+    ("addl", [1, 2], []),
+    ("synth", None, _SYNTH_ARGS),
+    ("synth", {"synth": {**_SYNTH_SECTION, "bogus": 1}}, []),
+    ("addl", {"synth": {**_SYNTH_SECTION, "bogus": 1}}, []),
+    ("synth", None, _SYNTH_ARGS + ["--noise-sigma", "0.01", "--n-anomaly", "41"]),
+    ("addl", None, ["--sparsity", "0"]),
+    ("addl", None, ["--residual-tol", "-1"]),
+    ("addl", None, ["--stage-atoms", "3"]),
+    ("addl", None, ["--global-iterations", "0"]),
+    ("popularity", None, ["--n-anomalies", "0"]),
+    ("toddler", None, ["--phi", "1.5"]),
+    ("pretrain", None, ["--alpha", "-1"]),
+    ("pretrain", None, ["--atoms-per-class", "0"]),
+    ("addl", None, ["--subsample-ratio", "-3"]),
+    ("toddler", None, ["--lambda-policy", "fixed"]),
+    ("toddler", None, ["--lambda-policy", "fixed", "--lambda1", "-1", "--lambda2", "1"]),
+    ("addl", None, ["--sparsity", "five"]),
+    ("addl", None, ["--schema", "csv"]),
+], ids=["string-int", "misspelled-key", "string-bool", "fractional-int", "bool-int",
+        "nan-float", "non-object", "synth-missing-field", "synth-unknown-field",
+        "synth-unknown-field-addl", "more-anomalies-than-normals", "sparsity-0",
+        "negative-residual-tol", "stage-atoms-below-sparsity", "global-iterations-0",
+        "n-anomalies-0", "phi-above-1", "negative-alpha", "atoms-per-class-0",
+        "negative-subsample-ratio", "fixed-lambdas-missing", "negative-lambda",
+        "flag-not-an-int", "flag-not-a-choice"])
+def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
+    argv = [verb, "--out", str(tmp_path / "o"), "--dataset", str(tmp_path / "missing.csv")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    rc = main(argv + flags)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()

@@ -1,5 +1,7 @@
-"""Property tests of the coding kernel and the code statistics over generated
-shapes (m, n, s, N), including all-zero and exactly representable signals."""
+"""Property tests over generated shapes: the coding kernel and the code
+statistics (m, n, s, N), including all-zero and exactly representable
+signals; the phi = 1 RLS stream against batch least squares; the AK-SVD
+objective trace."""
 
 import numpy as np
 import pytest
@@ -10,14 +12,20 @@ from dictad import (
     CodingConfig,
     CodingError,
     Dictionary,
+    DiscriminativeModel,
+    DLConfig,
     SparseCode,
     SparseCodeMatrix,
     atom_popularity,
     batch_code,
+    init_state,
     omp,
     representation_errors,
+    rls_update,
+    train,
 )
 
+from test_online import _sparse_cols
 from test_sparse_coding import naive_omp_oracle
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -101,3 +109,42 @@ def test_batch_code_across_lockstep_chunks():
     Y[:, 300] += A[:, 1]
     with pytest.raises(CodingError, match="column 300: singular"):
         batch_code(dup, Y, CodingConfig(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 12), st.integers(2, 12), st.integers(3, 5),
+       st.integers(1, 250), st.integers(0, 2**32 - 1))
+def test_rls_at_phi_1_equals_batch_least_squares(s, extra_atoms, m, warm_factor, n_stream, seed):
+    # The stream starts from the least-squares fit of a warm-up of at least 3n
+    # columns and may cross the periodic re-inversion at 100 updates. init_state
+    # keeps a 1e-8 * mean-diagonal ridge in G for conditioning, so the batch
+    # problem that RLS solves exactly carries that ridge too.
+    n = s + extra_atoms
+    rng = np.random.default_rng(seed)
+    Dt = rng.standard_normal((m, n))
+    Xw = _sparse_cols(rng, n, s, warm_factor * n)
+    Yw = Dt @ Xw + 0.05 * rng.standard_normal((m, Xw.shape[1]))
+    G0 = Xw @ Xw.T + (1e-8 * np.trace(Xw @ Xw.T) / n) * np.eye(n)
+    model = DiscriminativeModel(Dictionary((Yw @ Xw.T) @ np.linalg.inv(G0)), np.zeros((2, n)),
+                                np.zeros((n, n)), np.arange(n) % 2)
+    state = init_state(model, Yw, SparseCodeMatrix.from_dense(Xw), phi=1.0,
+                       coding=CodingConfig(s))
+    Xs = _sparse_cols(rng, n, s, n_stream)
+    Ys = Dt @ Xs + 0.05 * rng.standard_normal((m, n_stream))
+    for y, x in zip(Ys.T, SparseCodeMatrix.from_dense(Xs).columns):
+        rls_update(state, y, x)
+    Xall, Yall = np.hstack([Xw, Xs]), np.hstack([Yw, Ys])
+    batch = (Yall @ Xall.T) @ np.linalg.inv(G0 + Xs @ Xs.T)
+    rel = np.linalg.norm(state.model.D.atoms - batch) / np.linalg.norm(batch)
+    assert rel <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 12), st.integers(2, 12), st.integers(1, 60),
+       st.integers(1, 8), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_train_objective_trace_never_increases(s, extra_atoms, m, N, iterations, tol, seed):
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((m, N))
+    res = train(Y, DLConfig(s + extra_atoms, iterations, CodingConfig(s, tol), seed=seed))
+    trace = res.objective_trace
+    assert np.all(np.diff(trace) <= 1e-9 * (1.0 + trace[:-1]))
