@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import DataError
 
 ULB_FEATURES = [f"V{i}" for i in range(1, 29)] + ["Amount"]
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass
@@ -61,16 +61,40 @@ class SynthConfig:
 
 
 def _parse_cell(text, row, col):
+    # float() syntax as np.loadtxt reads it: no digit separators, ASCII only
     try:
+        if "_" in text or not text.isascii():
+            raise ValueError
         return float(text)
     except ValueError:
         raise DataError(f"non-numeric cell {text!r} at row {row}, column {col!r}") from None
 
 
+def _raise_row_error(path, header, lidx, reason):
+    """Re-read the body with csv.reader and raise a DataError naming the
+    first row that is ragged, holds a non-numeric cell or a label other
+    than 0/1; `reason` is the message if no row shows the fault."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        for rnum, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != len(header):
+                raise DataError(
+                    f"{path}: row {rnum} has {len(rec)} fields, the header has {len(header)}"
+                )
+            vals = [_parse_cell(text, rnum, col) for text, col in zip(rec, header)]
+            if lidx is not None and vals[lidx] not in (0.0, 1.0):
+                raise DataError(f"{path}: label {rec[lidx]!r} at row {rnum} is not 0 or 1")
+    raise DataError(f"{path}: {reason}")
+
+
 def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Dataset:
     """Load a headered CSV. schema 'ulb' selects V1..V28 + Amount with the
     Class label; schema 'generic' takes every non-label column as a feature
-    (labels absent when label_column is None)."""
+    (labels absent when label_column is None). Every cell must be a number;
+    cells may be quoted with '"' and blank lines are skipped."""
     if schema not in ("ulb", "generic"):
         raise DataError(f"unknown CSV schema {schema!r}")
     try:
@@ -78,9 +102,8 @@ def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Data
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from None
     with f:
-        reader = csv.reader(f)
         try:
-            header = [h.strip().strip('"') for h in next(reader)]
+            header = [h.strip().strip('"') for h in next(csv.reader(f))]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         if schema == "ulb":
@@ -95,49 +118,51 @@ def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Data
             raise DataError(f"{path}: missing expected columns {missing}")
         fidx = [header.index(c) for c in features]
         lidx = header.index(label_column) if label_column is not None else None
-        rows, labels = array("d"), []
-        for rnum, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise DataError(
-                    f"{path}: row {rnum} has {len(rec)} fields, the header has {len(header)}"
-                )
-            rows.extend(_parse_cell(rec[i], rnum, header[i]) for i in fidx)
-            if lidx is not None:
-                label = _parse_cell(rec[lidx], rnum, label_column)
-                if label not in (0.0, 1.0):
-                    raise DataError(f"{path}: label {rec[lidx]!r} at row {rnum} is not 0 or 1")
-                labels.append(int(label))
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                M = np.loadtxt(f, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError as e:
+            _raise_row_error(path, header, lidx, e)
+    if M.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    Y = np.array(rows).reshape(-1, len(features)).T
+    if M.shape[1] != len(header) or (lidx is not None and not np.isin(M[:, lidx], (0, 1)).all()):
+        _raise_row_error(path, header, lidx, "rows do not match the header")
+    # M is C-ordered N x m, so Y is m x N with strides (8, 8m): normalize's sums follow that layout
+    Y = M.take(fidx, axis=1).T
     if not np.all(np.isfinite(Y)):
         j, i = np.argwhere(~np.isfinite(Y))[0]
         raise DataError(f"{path}: non-finite value in data row {i + 1}, column {features[j]!r}")
     return Dataset(
         Y,
-        np.array(labels, dtype=int) if lidx is not None else None,
+        M[:, lidx].astype(int) if lidx is not None else None,
         list(features),
         {"source": str(path), "schema": schema},
     )
+
+
+_SAVE_CHUNK = 4096  # rows formatted per write; bounds the text held at once
 
 
 def save_csv(dataset: Dataset, path):
     """Export a dataset in the same dialect, adding a Class column when
     labels exist. Floats are written at 17 significant digits so text I/O
     round-trips exactly."""
+    labels = dataset.labels
+    header = list(dataset.feature_names)
+    cells = ["%.17g"] * dataset.n_features
+    if labels is not None:
+        header.append("Class")
+        cells.append("%d")
+    fmt = ",".join(cells) + "\r\n"  # csv.writer's line end; no number needs quoting
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = list(dataset.feature_names)
-        if dataset.labels is not None:
-            header.append("Class")
-        w.writerow(header)
-        for i in range(dataset.n_samples):
-            row = [f"{v:.17g}" for v in dataset.Y[:, i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            w.writerow(row)
+        csv.writer(f).writerow(header)
+        for start in range(0, dataset.n_samples, _SAVE_CHUNK):
+            stop = start + _SAVE_CHUNK
+            rows = dataset.Y[:, start:stop].T.tolist()
+            if labels is not None:
+                rows = [(*r, c) for r, c in zip(rows, np.asarray(labels[start:stop]).tolist())]
+            f.write("".join([fmt % tuple(r) for r in rows]))
 
 
 def normalize(dataset: Dataset) -> Dataset:
@@ -153,7 +178,8 @@ def normalize(dataset: Dataset) -> Dataset:
             f"constant features mapped to zero: {[dataset.feature_names[i] for i in flat]}"
         )
         sigma[flat] = 1.0
-    Y = (dataset.Y - mu) / sigma
+    Y = dataset.Y - mu
+    Y /= sigma
     Y[flat, :] = 0.0
     return Dataset(Y, dataset.labels, dataset.feature_names,
                    {**dataset.provenance, "normalized": True})
@@ -213,7 +239,7 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
             sup = rng.choice(n_atoms, size=s, replace=False)
             vals = rng.uniform(0.5, 1.5, size=s)
             if not cfg.positive_codes:
-                vals *= rng.choice([-1.0, 1.0], size=s)
+                vals *= _SIGNS[rng.integers(0, 2, size=s)]
             codes[sup, i] = vals
             Y[:, i] = D[:, sup] @ vals
         Y += cfg.noise_sigma * rng.standard_normal(Y.shape)

@@ -291,18 +291,15 @@ def run_eval(params: dict, out_dir: Path) -> dict:
     if ds.labels is None:
         raise DataError("evaluation needs ground-truth labels in the dataset")
     pred_path = params["predictions"]
-    preds = []
     try:
         with open(pred_path) as f:
-            for k, line in enumerate(f, start=1):
-                text = line.strip()
-                if text not in ("0", "1", ""):
-                    raise DataError(f"{pred_path}: line {k} is {text!r}, not 0 or 1")
-                if text:
-                    preds.append(int(text))
+            lines = [line.strip() for line in f]
     except OSError as e:
         raise DataError(f"cannot read {pred_path}: {e.strerror}") from None
-    rep = confusion(ds.labels, preds)
+    if not {"0", "1", ""}.issuperset(lines):
+        k, text = next((k, t) for k, t in enumerate(lines, 1) if t not in ("0", "1", ""))
+        raise DataError(f"{pred_path}: line {k} is {text!r}, not 0 or 1")
+    rep = confusion(ds.labels, [t == "1" for t in lines if t])
     return _write_result(out_dir, "eval", params, rep.as_dict(), t0)
 
 

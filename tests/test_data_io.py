@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,50 @@ def test_csv_round_trip_unlabeled(tmp_path):
     back = load_csv(p, schema="generic")
     assert back.labels is None
     assert np.array_equal(back.Y, ds.Y)
+
+
+def test_load_quoted_ulb_layout_matches_plain(tmp_path):
+    # the published credit-card file quotes its header and its "0"/"1" labels
+    plain = tmp_path / "plain.csv"
+    _write_ulb_csv(plain, n_rows=6, anomalies=(2, 5))
+    lines = plain.read_text().splitlines()
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("\n".join(
+        [",".join(f'"{h}"' for h in lines[0].split(","))]
+        + [line[:-1] + f'"{line[-1]}"' for line in lines[1:]]
+    ) + "\n")
+    a, b = load_csv(plain, schema="ulb"), load_csv(quoted, schema="ulb")
+    assert np.array_equal(a.Y, b.Y)
+    assert list(b.labels) == [0, 0, 1, 0, 0, 1]
+
+
+def test_load_crlf_and_blank_lines(tmp_path):
+    p = tmp_path / "crlf.csv"
+    p.write_bytes(b"a,b,y\r\n1,2,0\r\n\r\n3,4,1\r\n\n\n5,6,0\r\n")
+    ds = load_csv(p, schema="generic", label_column="y")
+    assert np.array_equal(ds.Y, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+    assert list(ds.labels) == [0, 1, 0]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1,2,0\n3,1_0,1\n", "non-numeric cell '1_0' at row 3, column 'b'"),
+    ("1,2,0\n\n3,4,2\n", "label '2' at row 4 is not 0 or 1"),
+    ("1,2,0\n\n3,inf,1\n", "non-finite value in data row 2, column 'b'"),
+], ids=["digit-separator", "label-after-blank-line", "inf-after-blank-line"])
+def test_load_malformed_row_names_row_and_column(tmp_path, body, message):
+    p = tmp_path / "bad.csv"
+    p.write_text("a,b,y\n" + body)
+    with pytest.raises(DataError, match=message):
+        load_csv(p, schema="generic", label_column="y")
+
+
+def test_synth_csv_bytes_pinned(tmp_path):
+    # pinned bytes: neither the generator's random stream nor the writer's
+    # number format may change
+    cfg = SynthConfig(n_normal=40, n_anomaly=8, m=12, normal_atoms=4, anomaly_atoms=3,
+                      s_gen=2, noise_sigma=0.01, seed=7)
+    p = tmp_path / "s.csv"
+    save_csv(synth_generate(cfg), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "6639bdb30e554e7774cd6e306f858a5d5d5e81100e69dbb6f3fdfc27c45399b9"
+    )

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from dictad import ConfusionReport, DataError, confusion
 from dictad.cli import main
+from dictad.data_io import ULB_FEATURES
 
 
 def test_confusion_all_correct():
@@ -217,6 +219,48 @@ def test_cli_malformed_input_exit_3(tmp_path, capsys, csv_text, preds_text):
     assert rc == 3
     assert err.startswith("data error: ")
     assert err.count("\n") == 1
+
+
+_ULB_HEADER = ",".join(["Time", *ULB_FEATURES, "Class"])
+
+
+@pytest.mark.parametrize("schema, csv_text, message", [
+    ("generic", "a,b,Class\n1,2,0\n3,4,1,5\n", "row 3 has 4 fields, the header has 3"),
+    ("generic", "a,b,Class\n1,0\n3,1\n", "row 2 has 2 fields, the header has 3"),
+    ("generic", "a,b,Class\n1,2#3,0\n3,4,1\n", "non-numeric cell '2#3' at row 2"),
+    ("generic", "a,b,Class\n", "no data rows"),
+    ("ulb", f"{_ULB_HEADER}\n" + ",".join(["0.5"] * 30) + ",0\nnoon," + ",".join(["0.5"] * 29)
+     + ",1\n", "non-numeric cell 'noon' at row 3, column 'Time'"),
+], ids=["wide-row", "narrow-first-row", "hash-in-cell", "header-only", "ulb-time-text"])
+def test_cli_malformed_csv_exit_3(tmp_path, capsys, schema, csv_text, message):
+    data, preds = tmp_path / "data.csv", tmp_path / "preds.txt"
+    data.write_text(csv_text)
+    preds.write_text("0\n1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([
+            "eval", "--out", str(tmp_path / "o"), "--dataset", str(data),
+            "--schema", schema, "--label-column", "Class", "--predictions", str(preds),
+        ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error: ")
+    assert err.count("\n") == 1
+    assert message in err
+
+
+def test_eval_prediction_lines(tmp_path, capsys):
+    data, preds = tmp_path / "data.csv", tmp_path / "preds.txt"
+    data.write_text("a,Class\n1,0\n2,1\n3,1\n")
+    preds.write_text("0\n\n 1 \r\n0\n")
+    assert main(["eval", "--out", str(tmp_path / "o"), "--dataset", str(data), "--schema",
+                 "generic", "--label-column", "Class", "--predictions", str(preds)]) == 0
+    metrics = json.loads((tmp_path / "o" / "result.json").read_text())["metrics"]
+    assert (metrics["tp"], metrics["fn"], metrics["tn"]) == (1, 1, 1)
+    preds.write_text("0\n1\n\nyes\n1\n")
+    assert main(["eval", "--out", str(tmp_path / "o"), "--dataset", str(data), "--schema",
+                 "generic", "--label-column", "Class", "--predictions", str(preds)]) == 3
+    assert "line 4 is 'yes', not 0 or 1" in capsys.readouterr().err
 
 
 _COMMON_FLAGS = {

@@ -1,7 +1,12 @@
 """Property tests over generated shapes: the coding kernel and the code
 statistics (m, n, s, N), including all-zero and exactly representable
 signals; the phi = 1 RLS stream against batch least squares; the AK-SVD
-objective trace."""
+objective trace; CSV reading and writing against per-value oracles."""
+
+import csv
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,15 +18,18 @@ from dictad import (
     CodingError,
     Dictionary,
     DiscriminativeModel,
+    Dataset,
     DLConfig,
     SparseCode,
     SparseCodeMatrix,
     atom_popularity,
     batch_code,
     init_state,
+    load_csv,
     omp,
     representation_errors,
     rls_update,
+    save_csv,
     train,
 )
 
@@ -148,3 +156,81 @@ def test_train_objective_trace_never_increases(s, extra_atoms, m, N, iterations,
     res = train(Y, DLConfig(s + extra_atoms, iterations, CodingConfig(s, tol), seed=seed))
     trace = res.objective_trace
     assert np.all(np.diff(trace) <= 1e-9 * (1.0 + trace[:-1]))
+
+
+# cells a CSV may hold for a float: the forms other writers produce
+_CELL_FORMS = [
+    lambda v: "%.17g" % v,
+    repr,
+    lambda v: "%.6e" % v,
+    lambda v: "%.3E" % v,
+    lambda v: f"{v:+}",
+    lambda v: f'"{v!r}"',
+    lambda v: f" {v} ",
+]
+# bounded so that no rounded form (%.3E of 1.7975e308) overflows to inf
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]
+_finite = st.one_of(st.floats(-1e308, 1e308), st.sampled_from(_EDGE_FLOATS))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.booleans(), st.data())
+def test_load_csv_equals_float_of_every_cell(m, N, labeled, data):
+    cells = [[data.draw(st.sampled_from(_CELL_FORMS))(data.draw(_finite)) for _ in range(m)]
+             for _ in range(N)]
+    labels = [data.draw(st.integers(0, 1)) for _ in range(N)]
+    header = [f"f{j}" for j in range(m)] + (["Class"] if labeled else [])
+    lines = [",".join(header)]
+    for row, c in zip(cells, labels):
+        lines.append(",".join(row + ([data.draw(st.sampled_from(["%d", '"%d"', "%d.0"])) % c]
+                                     if labeled else [])))
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "t.csv"
+        p.write_text("\n".join(lines) + "\n")
+        ds = load_csv(p, schema="generic", label_column="Class" if labeled else None)
+    expected = [[float(t.strip().strip('"')) for t in row] for row in cells]
+    assert np.array_equal(_bits(ds.Y), _bits(expected).T)
+    assert ds.Y.dtype == np.float64 and ds.Y.strides == (8, 8 * m)
+    assert (list(ds.labels) == labels) if labeled else ds.labels is None
+
+
+def _old_save_csv_bytes(Y, labels, names):
+    """The writer's former output: one f-string per value, one writerow per row."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(list(names) + (["Class"] if labels is not None else []))
+    for i in range(Y.shape[1]):
+        row = [f"{v:.17g}" for v in Y[:, i]]
+        if labels is not None:
+            row.append(str(int(labels[i])))
+        w.writerow(row)
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 12), st.booleans(), st.data())
+def test_save_csv_bytes_equal_per_value_writer_and_round_trip(m, N, labeled, data):
+    Y = np.array([[data.draw(_finite) for _ in range(N)] for _ in range(m)]).reshape(m, N)
+    labels = np.array([data.draw(st.integers(0, 1)) for _ in range(N)]) if labeled else None
+    ds = Dataset(Y, labels, [f"f{j}" for j in range(m)])
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "t.csv"
+        save_csv(ds, p)
+        assert p.read_bytes() == _old_save_csv_bytes(Y, labels, ds.feature_names)
+        if N:
+            back = load_csv(p, schema="generic", label_column="Class" if labeled else None)
+            assert np.array_equal(_bits(back.Y), _bits(Y))
+            assert labels is None or np.array_equal(back.labels, labels)
+
+
+def test_save_csv_bytes_across_write_chunks(tmp_path):
+    rng = np.random.default_rng(18)
+    Y = rng.standard_normal((3, 9001)) * np.exp(rng.uniform(-700, 700, (3, 9001)))
+    labels = rng.integers(0, 2, 9001)
+    p = tmp_path / "big.csv"
+    save_csv(Dataset(Y, labels, ["a", "b", "c"]), p)
+    assert p.read_bytes() == _old_save_csv_bytes(Y, labels, ["a", "b", "c"])
