@@ -74,7 +74,7 @@ def _raise_row_error(path, header, lidx, reason):
     """Re-read the body with csv.reader and raise a DataError naming the
     first row that is ragged, holds a non-numeric cell or a label other
     than 0/1; `reason` is the message if no row shows the fault."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         next(reader)
         for rnum, rec in enumerate(reader, start=2):
@@ -91,39 +91,46 @@ def _raise_row_error(path, header, lidx, reason):
 
 
 def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Dataset:
-    """Load a headered CSV. schema 'ulb' selects V1..V28 + Amount with the
-    Class label; schema 'generic' takes every non-label column as a feature
-    (labels absent when label_column is None). Every cell must be a number;
-    cells may be quoted with '"' and blank lines are skipped."""
+    """Load a headered UTF-8 CSV. schema 'ulb' selects V1..V28 + Amount with
+    the Class label; schema 'generic' takes every non-label column as a
+    feature (labels absent when label_column is None). Every cell must be a
+    number; cells may be quoted with '"' and blank lines are skipped."""
     if schema not in ("ulb", "generic"):
         raise DataError(f"unknown CSV schema {schema!r}")
     try:
-        f = open(path, newline="")
+        f = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from None
-    with f:
-        try:
-            header = [h.strip().strip('"') for h in next(csv.reader(f))]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if schema == "ulb":
-            features = ULB_FEATURES
-            label_column = "Class"
-        else:
-            features = [h for h in header if h != label_column]
-        missing = [c for c in features if c not in header]
-        if label_column is not None and label_column not in header:
-            missing.append(label_column)
-        if missing:
-            raise DataError(f"{path}: missing expected columns {missing}")
-        fidx = [header.index(c) for c in features]
-        lidx = header.index(label_column) if label_column is not None else None
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                M = np.loadtxt(f, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        except ValueError as e:
-            _raise_row_error(path, header, lidx, e)
+    try:
+        with f:
+            return _read_csv(f, path, schema, label_column)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def _read_csv(f, path, schema: str, label_column: str | None) -> Dataset:
+    try:
+        header = [h.strip().strip('"') for h in next(csv.reader(f))]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if schema == "ulb":
+        features = ULB_FEATURES
+        label_column = "Class"
+    else:
+        features = [h for h in header if h != label_column]
+    missing = [c for c in features if c not in header]
+    if label_column is not None and label_column not in header:
+        missing.append(label_column)
+    if missing:
+        raise DataError(f"{path}: missing expected columns {missing}")
+    fidx = [header.index(c) for c in features]
+    lidx = header.index(label_column) if label_column is not None else None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            M = np.loadtxt(f, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError as e:
+        _raise_row_error(path, header, lidx, e)
     if M.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
     if M.shape[1] != len(header) or (lidx is not None and not np.isin(M[:, lidx], (0, 1)).all()):

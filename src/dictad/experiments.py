@@ -142,6 +142,8 @@ def resolve_params(method: str, params: dict) -> dict:
         raise ConfigError("lambda_policy fixed needs lambda1 and lambda2")
     if method == "eval" and out["predictions"] is None:
         raise ConfigError("evaluation needs a 'predictions' file (one 0/1 per line)")
+    if method == "eval" and out["subsample_ratio"] > 0:
+        raise ConfigError("subsample_ratio must be 0 for eval: predictions follow the file order")
     return out
 
 
@@ -292,10 +294,12 @@ def run_eval(params: dict, out_dir: Path) -> dict:
         raise DataError("evaluation needs ground-truth labels in the dataset")
     pred_path = params["predictions"]
     try:
-        with open(pred_path) as f:
+        with open(pred_path, encoding="utf-8") as f:
             lines = [line.strip() for line in f]
     except OSError as e:
         raise DataError(f"cannot read {pred_path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{pred_path}: not UTF-8 text ({e.reason})") from None
     if not {"0", "1", ""}.issuperset(lines):
         k, text = next((k, t) for k, t in enumerate(lines, 1) if t not in ("0", "1", ""))
         raise DataError(f"{pred_path}: line {k} is {text!r}, not 0 or 1")

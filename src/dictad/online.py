@@ -75,14 +75,16 @@ class ToddlerOutcome:
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value (LAPACK SVD)."""
+    """Largest singular value (LAPACK SVD, the bits of np.linalg.norm(M, 2)).
+    Non-finite entries raise NumericalError before LAPACK sees them: given
+    inf, LAPACK prints a DLASCL error to stderr and returns NaN."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NumericalError("spectral norm of a matrix with non-finite entries")
     try:
-        return float(np.linalg.norm(M, 2))
+        return float(np.linalg.svd(M, compute_uv=False)[0])
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"spectral norm: {e}") from None
 
@@ -142,9 +144,11 @@ def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> OnlineState:
         raise NumericalError("nonpositive RLS gain denominator: corrupted online state")
     alpha = 1.0 / denom
     r = np.asarray(y, dtype=float) - state.model.D.atoms @ xd
-    state.model.D.atoms += alpha * np.outer(r, u)
-    state.G = state.phi * state.G + np.outer(xd, xd)
-    state.Ginv = state.Ginv / state.phi - alpha * np.outer(u, u)
+    state.model.D.atoms += alpha * (r[:, None] * u)
+    state.G *= state.phi
+    state.G += xd[:, None] * xd
+    state.Ginv /= state.phi
+    state.Ginv -= alpha * (u[:, None] * u)
     state.samples_seen += 1
     if state.samples_seen % _RIDGE_EVERY == 0:
         n = state.G.shape[0]
@@ -178,7 +182,7 @@ def tikhonov_update(M0: np.ndarray, target: np.ndarray, x: SparseCode, lam: floa
         raise NumericalError("Tikhonov weight must be positive")
     xd = x.to_dense()
     resid = np.asarray(target, dtype=float) - M0 @ xd
-    return M0 + np.outer(resid, xd) / (lam + float(xd @ xd))
+    return M0 + resid[:, None] * xd / (lam + float(xd @ xd))
 
 
 def toddler_step(state: OnlineState, y: np.ndarray):

@@ -4,9 +4,10 @@ Signals are columns of an m x N matrix; the dictionary holds n column atoms.
 N codes are stored as padded (N x s) support and value arrays, never as the
 dense n x N matrix, whose n grows under dictionary concatenation in the
 unsupervised filters. One kernel, Batch-OMP (Rubinstein, Zibulevsky & Elad,
-2008), codes every batch; omp() is that kernel on one column. Every
-per-column operation in it is independent of the other columns, so a signal
-codes to the same bits alone or inside any batch.
+2008), codes every batch; omp() does the same arithmetic on one column,
+bit-identical to a batch_code column, without the batch bookkeeping. Every
+per-column operation in the kernel is independent of the other columns, so a
+signal codes to the same bits alone or inside any batch.
 """
 
 from __future__ import annotations
@@ -165,15 +166,19 @@ def _weighted_rows(base: np.ndarray, rows: np.ndarray, supports: np.ndarray,
     return base - np.matmul(coef[:, None, :], rows[supports])[:, 0, :]
 
 
+def _check_shapes(A: np.ndarray, signal_dim: int, cfg: CodingConfig):
+    if signal_dim != A.shape[0]:
+        raise CodingError(f"signal dimension {signal_dim} != dictionary dimension {A.shape[0]}")
+    if cfg.s > A.shape[1]:
+        raise CodingError(f"sparsity {cfg.s} exceeds atom count {A.shape[1]}")
+
+
 def _batch_omp(D: Dictionary, Y: np.ndarray, cfg: CodingConfig) -> SparseCodeMatrix:
     """Batch-OMP on every column of Y, _CHUNK columns in lockstep at a time,
     with G = D^T D computed once."""
     A = D.atoms
-    m, n = A.shape
-    if Y.shape[0] != m:
-        raise CodingError(f"signal dimension {Y.shape[0]} != dictionary dimension {m}")
-    if cfg.s > n:
-        raise CodingError(f"sparsity {cfg.s} exceeds atom count {n}")
+    n = A.shape[1]
+    _check_shapes(A, Y.shape[0], cfg)
     N = Y.shape[1]
     G = A.T @ A
     supports = np.zeros((N, cfg.s), dtype=int)
@@ -229,9 +234,40 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
 
 
 def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
-    """Orthogonal Matching Pursuit for one signal (the kernel on one column)."""
-    y = np.asarray(y, dtype=float).reshape(-1, 1)
-    return _batch_omp(D, y, cfg).columns[0]
+    """Orthogonal Matching Pursuit for one signal: the same arithmetic as the
+    Batch-OMP kernel on one column, bit-identical to a batch_code column."""
+    A = D.atoms
+    n = A.shape[1]
+    # contiguous like the kernel's signal rows: a strided y (a Y[:, i] view)
+    # takes another summation path in matmul and can change the last bit
+    y = np.ascontiguousarray(y, dtype=float).reshape(-1)
+    _check_shapes(A, y.shape[0], cfg)
+    G = A.T @ A
+    a0 = y @ A
+    ynorm = np.sqrt((y * y).sum())
+    tol = max(cfg.residual_tol, 1e-9 * ynorm)
+    S = np.zeros(cfg.s, dtype=int)
+    if not ynorm > tol:
+        return _trusted_code(S[:0], np.zeros(0), n)
+    rows, coef = G[:0], np.zeros(0)  # rows = G[S[:k]]
+    for k in range(cfg.s):
+        corr = np.abs(a0 - coef @ rows)
+        corr[S[:k]] = -1.0
+        S[k] = corr.argmax()
+        Sk = S[:k + 1]
+        rows = G.take(Sk, axis=0)
+        try:
+            coef = np.linalg.solve(rows.take(Sk, axis=1), a0.take(Sk))
+        except np.linalg.LinAlgError:
+            raise CodingError(
+                f"singular support sub-matrix on atoms {Sk.tolist()} "
+                "(duplicate or collinear atoms)"
+            ) from None
+        if k + 1 < cfg.s:
+            r = y - coef @ A.T.take(Sk, axis=0)
+            if np.sqrt((r * r).sum()) <= tol:
+                return _trusted_code(Sk, coef, n)
+    return _trusted_code(S, coef, n)
 
 
 def batch_code(D: Dictionary, Y: np.ndarray, cfg: CodingConfig) -> SparseCodeMatrix:

@@ -343,3 +343,39 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data_bytes, preds_bytes", [
+    (b"a,Class\n1,0\n\xff\xfe,1\n", b"0\n1\n"),
+    (b"a,Class\n1,0\n2,1\n", b"0\n\xff\n"),
+], ids=["dataset", "predictions"])
+def test_cli_non_utf8_input_exit_3(tmp_path, capsys, data_bytes, preds_bytes):
+    data, preds = tmp_path / "data.csv", tmp_path / "preds.txt"
+    data.write_bytes(data_bytes)
+    preds.write_bytes(preds_bytes)
+    rc = main([
+        "eval", "--out", str(tmp_path / "o"), "--dataset", str(data),
+        "--schema", "generic", "--label-column", "Class", "--predictions", str(preds),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error: ")
+    assert err.count("\n") == 1
+    assert "not UTF-8 text" in err
+
+
+def test_cli_eval_subsample_ratio_exit_2(tmp_path, capsys):
+    # subsampling would shuffle the labels but not the predictions
+    data, preds = tmp_path / "data.csv", tmp_path / "preds.txt"
+    data.write_text("a,Class\n1,0\n2,1\n3,0\n4,1\n")
+    preds.write_text("0\n1\n0\n1\n")
+    argv = ["eval", "--dataset", str(data), "--schema", "generic", "--label-column", "Class",
+            "--predictions", str(preds), "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "result.json").read_text())["metrics"]["accuracy"] == 1.0
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "o2"), "--subsample-ratio", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o2").exists()

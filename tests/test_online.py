@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from dictad import (
     MODEL_NORMS,
 )
 
+from dictad.experiments import run_experiment
 from helpers import planted_instance
 
 
@@ -325,3 +328,38 @@ def test_toddler_step_leaves_caller_model_unchanged():
     assert np.array_equal(model.D.atoms, D0)
     assert np.array_equal(model.W, W0)
     assert np.array_equal(model.A, A0)
+
+
+def test_spectral_norm_inf_raises_without_lapack_output(capfd):
+    with pytest.raises(NumericalError):
+        spectral_norm(np.full((3, 3), np.inf))
+    assert capfd.readouterr().err == ""
+
+
+def test_toddler_step_non_finite_gram_raises(capfd):
+    rng = np.random.default_rng(17)
+    m, n, s = 10, 8, 2
+    Dt, _, _ = planted_instance(m, n, 1, 1, seed=17)
+    X = _sparse_cols(rng, n, s, 30)
+    st = init_state(_model(Dt), Dt @ X, SparseCodeMatrix.from_dense(X), phi=0.95,
+                    coding=CodingConfig(s))
+    st.G[0, 0] = np.inf
+    with pytest.raises(NumericalError, match="non-finite"):
+        toddler_step(st, Dt[:, 0])
+    assert capfd.readouterr().err == ""
+
+
+def test_toddler_run_bytes_pinned(tmp_path):
+    # pinned bytes of a small seeded stream that crosses three ridge restores:
+    # neither predictions.csv nor any checkpoint array may move by a bit
+    run_experiment("toddler", {
+        "synth": {"n_normal": 300, "n_anomaly": 30, "m": 12, "normal_atoms": 6,
+                  "anomaly_atoms": 4, "s_gen": 3, "noise_sigma": 0.05, "seed": 11},
+        "sparsity": 3, "stage_atoms": 6, "dl_iterations": 5, "atoms_per_class": 6,
+        "pretrain_fraction": 0.2, "seed": 4,
+    }, tmp_path)
+    h = hashlib.sha256((tmp_path / "predictions.csv").read_bytes())
+    with np.load(tmp_path / "checkpoint.npz") as z:
+        for key in sorted(z.files):
+            h.update(key.encode() + z[key].tobytes())
+    assert h.hexdigest() == "c3246ea6ac56de6f8e04d264aa9665d1cdc3681024584c0e32272e68416bfe8b"

@@ -208,3 +208,15 @@ def test_dictionary_validate_unit_norm():
     D.validate(unit_norm=False)
     with pytest.raises(CodingError):
         Dictionary(np.column_stack([[0.0, 0.0], [0.0, 1.0]])).validate()
+
+
+def test_strided_signal_codes_like_batch_column():
+    # a hypothesis counterexample: Y[:, i] is a strided view, and y @ D on it
+    # summed in another order than the batch kernel, moving the last bit
+    D = Dictionary(np.array([[0.903], [0.094], [-0.743], [-0.922]]))
+    Y = np.array([[-0.458, 0.22], [-1.01, -0.209], [-0.159, 0.541], [0.215, 0.355]])
+    X = batch_code(D, Y, CodingConfig(1))
+    for i, c in enumerate(X.columns):
+        x = omp(D, Y[:, i], CodingConfig(1))
+        assert np.array_equal(x.support, c.support)
+        assert np.array_equal(x.values, c.values)
