@@ -140,6 +140,10 @@ def resolve_params(method: str, params: dict) -> dict:
     if method == "toddler" and out["lambda_policy"] == "fixed" and None in (
             out["lambda1"], out["lambda2"]):
         raise ConfigError("lambda_policy fixed needs lambda1 and lambda2")
+    if method == "toddler" and out["lambda_policy"] == "model-norms" and 0 in (
+            out["alpha"], out["beta"]):
+        raise ConfigError("lambda_policy model-norms needs alpha and beta > 0: "
+                          "a zero weight trains W or A to 0, so its lambda is 0")
     if method == "eval" and out["predictions"] is None:
         raise ConfigError("evaluation needs a 'predictions' file (one 0/1 per line)")
     if method == "eval" and out["subsample_ratio"] > 0:
@@ -227,11 +231,12 @@ def run_toddler(params: dict, out_dir: Path) -> dict:
                        lambda_policy=_lambda_policy(params), coding=coding)
 
     preds = np.empty(stream_idx.size, dtype=int)
+    samples = ds.Y.T  # row i is sample i, contiguous for loaded or normalized data
     with open(out_dir / "predictions.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["index", "predicted", "true"])
         for k, i in enumerate(stream_idx):
-            state, outcome = toddler_step(state, ds.Y[:, i])
+            state, outcome = toddler_step(state, samples[i])
             preds[k] = outcome.predicted_class
             w.writerow([int(i), int(outcome.predicted_class), int(ds.labels[i])])
     rep = confusion(ds.labels[stream_idx], preds)

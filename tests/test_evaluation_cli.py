@@ -324,13 +324,16 @@ _SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
     ("toddler", None, ["--lambda-policy", "fixed", "--lambda1", "-1", "--lambda2", "1"]),
     ("addl", None, ["--sparsity", "five"]),
     ("addl", None, ["--schema", "csv"]),
+    ("toddler", None, ["--lambda-policy", "model-norms", "--alpha", "0"]),
+    ("toddler", None, ["--lambda-policy", "model-norms", "--beta", "0"]),
 ], ids=["string-int", "misspelled-key", "string-bool", "fractional-int", "bool-int",
         "nan-float", "non-object", "synth-missing-field", "synth-unknown-field",
         "synth-unknown-field-addl", "more-anomalies-than-normals", "sparsity-0",
         "negative-residual-tol", "stage-atoms-below-sparsity", "global-iterations-0",
         "n-anomalies-0", "phi-above-1", "negative-alpha", "atoms-per-class-0",
         "negative-subsample-ratio", "fixed-lambdas-missing", "negative-lambda",
-        "flag-not-an-int", "flag-not-a-choice"])
+        "flag-not-an-int", "flag-not-a-choice", "model-norms-zero-alpha",
+        "model-norms-zero-beta"])
 def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
     argv = [verb, "--out", str(tmp_path / "o"), "--dataset", str(tmp_path / "missing.csv")]
     if config is not None:

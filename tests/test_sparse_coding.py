@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,43 @@ def test_duplicate_atoms_reported_as_singular():
     # second step has only the duplicate direction left -> singular Gram
     with pytest.raises(CodingError, match="singular"):
         omp(D, np.array([1.0, 1.0, 0.0]), CodingConfig(2, residual_tol=0.0))
+
+
+def test_zero_first_atom_reported_as_singular():
+    # both correlations are 0, so the all-zero atom 0 is picked first and its
+    # 1 x 1 Gram is 0: the pivot check must raise where a division gives NaN
+    D = Dictionary(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    y = np.array([1.0, 0.0])
+    with pytest.raises(CodingError, match=r"^singular support sub-matrix on atoms \[0\] "):
+        omp(D, y, CodingConfig(1))
+    with pytest.raises(CodingError, match=r"^column 0: singular support sub-matrix on atoms \[0\] "):
+        batch_code(D, y[:, None], CodingConfig(1))
+    with pytest.raises(CodingError, match=r"^column 1: singular support sub-matrix on atoms \[0\] "):
+        batch_code(D, np.column_stack([[0.0, 1.0], y]), CodingConfig(1))
+
+
+def _code_one_column(D, y, cfg):
+    return batch_code(D, y[:, None], cfg)
+
+
+@pytest.mark.parametrize("code", [omp, _code_one_column], ids=["omp", "batch_code"])
+@pytest.mark.parametrize("duplicate", [False, True], ids=["normal", "duplicate-atoms"])
+def test_coding_keeps_error_state_and_warns_nothing(code, duplicate):
+    if duplicate:
+        a = np.array([1.0, 0.0, 0.0])
+        D, y, cfg = Dictionary(np.column_stack([a, a])), np.array([1.0, 1.0, 0.0]), CodingConfig(2)
+    else:
+        D, cfg = random_dictionary(8, 16, seed=5), CodingConfig(5)
+        y = np.random.default_rng(5).standard_normal(8)
+    before = (np.geterr(), np.geterrcall())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if duplicate:
+            with pytest.raises(CodingError, match="singular"):
+                code(D, y, cfg)
+        else:
+            assert code(D, y, cfg).to_dense().any()
+    assert (np.geterr(), np.geterrcall()) == before
 
 
 def test_zero_signal_codes_empty():
