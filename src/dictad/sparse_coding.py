@@ -220,7 +220,7 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
         if k == 0:  # LAPACK's 1 x 1 solve is exactly this division
             pivot = G[S[:, 0], S[:, 0]]
             if not pivot.all():
-                i = int(np.argmin(pivot != 0))
+                i = int(np.flatnonzero(pivot == 0)[0])
                 raise _singular(Sk[i], f"column {first + live[i]}: ")
             with np.errstate(all="ignore"):
                 coef[:, 0] = a0[rows[:, 0], S[:, 0]] / pivot
