@@ -231,12 +231,11 @@ def run_toddler(params: dict, out_dir: Path) -> dict:
                        lambda_policy=_lambda_policy(params), coding=coding)
 
     preds = np.empty(stream_idx.size, dtype=int)
-    samples = ds.Y.T  # row i is sample i, contiguous for loaded or normalized data
     with open(out_dir / "predictions.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["index", "predicted", "true"])
         for k, i in enumerate(stream_idx):
-            state, outcome = toddler_step(state, samples[i])
+            state, outcome = toddler_step(state, ds.Y[:, i])
             preds[k] = outcome.predicted_class
             w.writerow([int(i), int(outcome.predicted_class), int(ds.labels[i])])
     rep = confusion(ds.labels[stream_idx], preds)

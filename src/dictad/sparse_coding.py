@@ -217,20 +217,15 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
         corr[rows, S[:, :k]] = -1.0
         S[:, k] = np.argmax(corr, axis=1)
         Sk = S[:, :k + 1]
-        if k == 0:  # LAPACK's 1 x 1 solve is exactly this division
-            pivot = G[S[:, 0], S[:, 0]]
-            if not pivot.all():
-                i = int(np.flatnonzero(pivot == 0)[0])
-                raise _singular(Sk[i], f"column {first + live[i]}: ")
-            with np.errstate(all="ignore"):
-                coef[:, 0] = a0[rows[:, 0], S[:, 0]] / pivot
-        else:
-            gram = G[Sk[:, :, None], Sk[:, None, :]]
-            try:
-                coef[:, :k + 1] = np.linalg.solve(gram, a0[rows, Sk, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                i = int(np.argmin(np.abs(np.linalg.det(gram))))
-                raise _singular(Sk[i], f"column {first + live[i]}: ") from None
+        gram = G[Sk[:, :, None], Sk[:, None, :]]
+        try:
+            coef[:, :k + 1] = np.linalg.solve(gram, a0[rows, Sk, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            i = int(np.argmin(np.abs(np.linalg.det(gram))))
+            raise CodingError(
+                f"column {first + live[i]}: singular support sub-matrix on atoms "
+                f"{Sk[i].tolist()} (duplicate or collinear atoms)"
+            ) from None
         if k + 1 < cfg.s:
             r = _weighted_rows(y, A.T, Sk, coef[:, :k + 1])
             done = np.sqrt((r * r).sum(axis=1)) <= tol
@@ -240,11 +235,6 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
                 keep = ~done
                 live, a0, y, tol, S, coef = (v[keep] for v in (live, a0, y, tol, S, coef))
     supports[live], values[live], nnz[live] = S, coef, cfg.s
-
-
-def _singular(atoms: np.ndarray, where: str = "") -> CodingError:
-    return CodingError(f"{where}singular support sub-matrix on atoms {atoms.tolist()} "
-                       "(duplicate or collinear atoms)")
 
 
 def _raise_linalg_error(err, flag):
@@ -267,19 +257,10 @@ def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
     S = np.zeros(cfg.s, dtype=int)
     if not ynorm > tol:
         return _trusted_code(S[:0], np.zeros(0), n)
-    j = S[0] = np.abs(a0).argmax()
-    Sk = S[:1]
-    try:  # LAPACK's 1 x 1 solve is exactly this division
-        coef = np.array([a0.item(j) / G.item(j, j)])
-    except ZeroDivisionError:
-        raise _singular(Sk) from None
-    rows = G.take(Sk, axis=0)  # the correlation rows G[S[:k]]
-    for k in range(1, cfg.s):
-        r = y - coef @ A.T.take(Sk, axis=0)
-        if np.sqrt((r * r).sum()) <= tol:
-            return _trusted_code(Sk, coef, n)
+    rows, coef = G[:0], np.zeros(0)  # rows = G[S[:k]]
+    for k in range(cfg.s):
         corr = np.abs(a0 - coef @ rows)
-        corr[Sk] = -1.0
+        corr[S[:k]] = -1.0
         S[k] = corr.argmax()
         Sk = S[:k + 1]
         rows = G.take(Sk, axis=0)
@@ -288,7 +269,14 @@ def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
                              divide="ignore", under="ignore"):
                 coef = _solve1(rows.take(Sk, axis=1), a0.take(Sk), signature="dd->d")
         except np.linalg.LinAlgError:
-            raise _singular(Sk) from None
+            raise CodingError(
+                f"singular support sub-matrix on atoms {Sk.tolist()} "
+                "(duplicate or collinear atoms)"
+            ) from None
+        if k + 1 < cfg.s:
+            r = y - coef @ A.T.take(Sk, axis=0)
+            if np.sqrt((r * r).sum()) <= tol:
+                return _trusted_code(Sk, coef, n)
     return _trusted_code(S, coef, n)
 
 

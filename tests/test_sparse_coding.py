@@ -102,7 +102,7 @@ def test_duplicate_atoms_reported_as_singular():
 
 def test_zero_first_atom_reported_as_singular():
     # both correlations are 0, so the all-zero atom 0 is picked first and its
-    # 1 x 1 Gram is 0: the pivot check must raise where a division gives NaN
+    # 1 x 1 Gram is 0: the first solve is singular, not a NaN coefficient
     D = Dictionary(np.array([[0.0, 0.0], [0.0, 1.0]]))
     y = np.array([1.0, 0.0])
     with pytest.raises(CodingError, match=r"^singular support sub-matrix on atoms \[0\] "):
