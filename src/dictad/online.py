@@ -131,26 +131,19 @@ def init_state(
     return OnlineState(model, G, Ginv, phi, lambda_policy, warmup_X.n_columns, coding)
 
 
-def _dense(x) -> np.ndarray:
-    """The dense vector of a SparseCode; a dense vector passes through."""
-    return x.to_dense() if isinstance(x, SparseCode) else x
-
-
-def rls_update(state: OnlineState, y: np.ndarray, x, r=None) -> OnlineState:
+def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> OnlineState:
     """Rank-one recursive least-squares dictionary update with forgetting:
     D absorbs the new sample, G <- phi G + x x^T and Ginv follows by
     Sherman-Morrison. Every 100 updates the ridge removed by forgetting is
     added back to G and Ginv is recomputed exactly; a non-finite G, Ginv or
-    D at that point raises NumericalError. x is a SparseCode or its dense
-    vector; r, if given, is the residual y - D x under the current D."""
-    xd = _dense(x)
+    D at that point raises NumericalError."""
+    xd = x.to_dense()
     u = (state.Ginv @ xd) / state.phi
     denom = 1.0 + float(xd @ u)
     if denom <= 0.0:
         raise NumericalError("nonpositive RLS gain denominator: corrupted online state")
     alpha = 1.0 / denom
-    if r is None:
-        r = np.asarray(y, dtype=float) - state.model.D.atoms @ xd
+    r = np.asarray(y, dtype=float) - state.model.D.atoms @ xd
     state.model.D.atoms += alpha * (r[:, None] * u)
     state.G *= state.phi
     state.G += xd[:, None] * xd
@@ -182,13 +175,12 @@ def lambda_select(state: OnlineState):
     return p.lambda1, p.lambda2
 
 
-def tikhonov_update(M0: np.ndarray, target: np.ndarray, x, lam: float) -> np.ndarray:
+def tikhonov_update(M0: np.ndarray, target: np.ndarray, x: SparseCode, lam: float) -> np.ndarray:
     """Closed-form minimizer of ||target - M x||^2 + lam ||M - M0||_F^2:
-    a rank-one correction of the anchor M0. x is a SparseCode or its dense
-    vector."""
+    a rank-one correction of the anchor M0."""
     if lam <= 0:
         raise NumericalError("Tikhonov weight must be positive")
-    xd = _dense(x)
+    xd = x.to_dense()
     resid = np.asarray(target, dtype=float) - M0 @ xd
     return M0 + resid[:, None] * xd / (lam + float(xd @ xd))
 
@@ -196,21 +188,18 @@ def tikhonov_update(M0: np.ndarray, target: np.ndarray, x, lam: float) -> np.nda
 def toddler_step(state: OnlineState, y: np.ndarray):
     """One full online step: code, classify with the pre-update model,
     Tikhonov-update W then A toward the estimated indicators, rank-one
-    update D. Returns (state, outcome). D changes only in rls_update, so the
-    dense code and the residual y - D x are computed once for all updates."""
+    update D. Returns (state, outcome)."""
     x = omp(state.model.D, y, state.coding)
     pred, scores = classify(state.model.W, x)
-    xd = x.to_dense()
-    r = np.asarray(y, dtype=float) - state.model.D.atoms @ xd
     c = state.model.n_classes
     h_hat = np.zeros(c)
     h_hat[pred] = 1.0
     q_hat = (state.model.class_of_atom == pred).astype(float)
     lam1, lam2 = lambda_select(state)
-    state.model.W = tikhonov_update(state.model.W, h_hat, xd, lam1)
-    state.model.A = tikhonov_update(state.model.A, q_hat, xd, lam2)
-    err = float(np.linalg.norm(r))
-    rls_update(state, y, xd, r)
+    state.model.W = tikhonov_update(state.model.W, h_hat, x, lam1)
+    state.model.A = tikhonov_update(state.model.A, q_hat, x, lam2)
+    err = float(np.linalg.norm(np.asarray(y, dtype=float) - state.model.D.atoms @ x.to_dense()))
+    rls_update(state, y, x)
     return state, ToddlerOutcome(pred, scores, x, lam1, lam2, err)
 
 
