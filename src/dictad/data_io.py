@@ -18,6 +18,11 @@ from .errors import DataError
 
 ULB_FEATURES = [f"V{i}" for i in range(1, 29)] + ["Amount"]
 _SIGNS = np.array([-1.0, 1.0])
+# synth_generate draws and multiplies in blocks of about this many elements
+_BLOCK_ELEMENTS = 2**20
+# synth_generate replays Generator.choice's Floyd sampling, which numpy uses
+# up to 10,000 atoms (above that, for s > atoms // 50, a partial shuffle)
+MAX_SYNTH_ATOMS = 10_000
 
 
 @dataclass
@@ -56,6 +61,12 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.n_normal, self.m, self.normal_atoms, self.anomaly_atoms, self.s_gen) < 1:
             raise DataError("all synthetic counts must be >= 1")
+        if self.n_anomaly < 0:
+            raise DataError("n_anomaly must be >= 0")
+        if max(self.normal_atoms, self.anomaly_atoms) > MAX_SYNTH_ATOMS:
+            raise DataError(f"a synthetic dictionary has at most {MAX_SYNTH_ATOMS} atoms")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.n_anomaly > self.n_normal:
             raise DataError("n_anomaly must not exceed n_normal")
 
@@ -242,13 +253,49 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
         s = min(cfg.s_gen, n_atoms)
         Y = np.empty((cfg.m, count))
         codes = np.zeros((n_atoms, count))
-        for i in range(count):
-            sup = rng.choice(n_atoms, size=s, replace=False)
-            vals = rng.uniform(0.5, 1.5, size=s)
+        # One sample's draws are those of choice(n_atoms, s, replace=False),
+        # uniform(0.5, 1.5, s) and integers(0, 2, s), in order. All are
+        # bounded draws, listed here by their inclusive upper bounds: Floyd's
+        # picks, the shuffle of the picks, raw 64-bit words, then the signs.
+        # One integers call per block of samples so makes the same draws
+        # from the stream as the per-sample calls.
+        highs = np.concatenate([
+            np.arange(n_atoms - s, n_atoms, dtype=np.uint64),
+            np.arange(s - 1, 0, -1, dtype=np.uint64),
+            np.full(s, 2**64 - 1, dtype=np.uint64),
+            np.ones(0 if cfg.positive_codes else s, dtype=np.uint64),
+        ])
+        sup = np.empty((count, s), dtype=np.intp)
+        vals = np.empty((count, s))
+        block = max(1, _BLOCK_ELEMENTS // (n_atoms + 5 * s))
+        for b0 in range(0, count, block):
+            B = min(block, count - b0)
+            w = rng.integers(0, np.tile(highs, B), dtype=np.uint64, endpoint=True).reshape(B, -1)
+            rows = np.arange(B)
+            picks = sup[b0:b0 + B]
+            picks[:] = w[:, :s]
+            seen = np.zeros((B, n_atoms), dtype=bool)
+            for t in range(s):  # Floyd: a value picked before gives way to the bound
+                picks[seen[rows, picks[:, t]], t] = n_atoms - s + t
+                seen[rows, picks[:, t]] = True
+            for t, i in enumerate(range(s - 1, 0, -1)):  # swap i with a draw in [0, i]
+                k = w[:, s + t]
+                picked = picks[:, i].copy()
+                picks[:, i] = picks[rows, k]
+                picks[rows, k] = picked
+            # uniform's low + (high - low) * double, the double being a
+            # word's top 53 bits scaled to [0, 1)
+            v = vals[b0:b0 + B]
+            v[:] = 0.5 + 1.0 * ((w[:, 2 * s - 1:3 * s - 1] >> 11) * 2.0**-53)
             if not cfg.positive_codes:
-                vals *= _SIGNS[rng.integers(0, 2, size=s)]
-            codes[sup, i] = vals
-            Y[:, i] = D[:, sup] @ vals
+                v *= _SIGNS[w[:, 3 * s - 1:]]
+        codes[sup, np.arange(count)[:, None]] = vals
+        # each item is F-ordered (m, s) like D[:, sup], so matmul makes the
+        # same gemv call per sample as D[:, sup] @ vals
+        step = max(1, _BLOCK_ELEMENTS // (cfg.m * s))
+        for c in range(0, count, step):
+            items = D.T[sup[c:c + step]].transpose(0, 2, 1)
+            Y[:, c:c + step] = (items @ vals[c:c + step, :, None])[:, :, 0].T
         Y += cfg.noise_sigma * rng.standard_normal(Y.shape)
         return Y, codes
 

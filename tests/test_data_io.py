@@ -212,6 +212,22 @@ def test_synth_rejects_tight_dimension():
         synth_generate(SynthConfig(10, 2, 4, 3, 2, 2, 0.0, True, 12))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n_anomaly": -1}, "n_anomaly must be >= 0"),
+    ({"noise_sigma": -0.1}, "noise_sigma must be finite and >= 0"),
+    ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0"),
+    ({"noise_sigma": float("inf")}, "noise_sigma must be finite and >= 0"),
+    ({"normal_atoms": 10_001, "disjoint_support": False}, "at most 10000 atoms"),
+    ({"anomaly_atoms": 10_001, "disjoint_support": False}, "at most 10000 atoms"),
+], ids=["negative-n-anomaly", "negative-noise", "nan-noise", "inf-noise",
+        "normal-atoms-above-limit", "anomaly-atoms-above-limit"])
+def test_synth_config_rejects(fields, message):
+    base = dict(n_normal=10, n_anomaly=2, m=6, normal_atoms=3, anomaly_atoms=2, s_gen=2,
+                noise_sigma=0.1)
+    with pytest.raises(DataError, match=message):
+        SynthConfig(**{**base, **fields})
+
+
 def test_csv_round_trip(tmp_path):
     ds = synth_generate(SynthConfig(12, 3, 6, 3, 2, 2, 0.1, True, 13))
     p = tmp_path / "out.csv"

@@ -326,6 +326,9 @@ _SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
     ("addl", None, ["--schema", "csv"]),
     ("toddler", None, ["--lambda-policy", "model-norms", "--alpha", "0"]),
     ("toddler", None, ["--lambda-policy", "model-norms", "--beta", "0"]),
+    ("synth", None, _SYNTH_ARGS + ["--noise-sigma", "0", "--normal-atoms", "10001"]),
+    ("synth", {"synth": {**_SYNTH_SECTION, "anomaly_atoms": 10_001, "disjoint_support": False}},
+     []),
 ], ids=["string-int", "misspelled-key", "string-bool", "fractional-int", "bool-int",
         "nan-float", "non-object", "synth-missing-field", "synth-unknown-field",
         "synth-unknown-field-addl", "more-anomalies-than-normals", "sparsity-0",
@@ -333,7 +336,7 @@ _SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
         "n-anomalies-0", "phi-above-1", "negative-alpha", "atoms-per-class-0",
         "negative-subsample-ratio", "fixed-lambdas-missing", "negative-lambda",
         "flag-not-an-int", "flag-not-a-choice", "model-norms-zero-alpha",
-        "model-norms-zero-beta"])
+        "model-norms-zero-beta", "synth-atoms-above-limit", "synth-object-atoms-above-limit"])
 def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
     argv = [verb, "--out", str(tmp_path / "o"), "--dataset", str(tmp_path / "missing.csv")]
     if config is not None:

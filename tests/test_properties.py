@@ -1,12 +1,14 @@
 """Property tests over generated shapes: the coding kernel and the code
 statistics (m, n, s, N), including all-zero and exactly representable
 signals; the phi = 1 RLS stream against batch least squares; the AK-SVD
-objective trace; CSV reading and writing against per-value oracles."""
+objective trace; CSV reading and writing against per-value oracles; the
+block-drawn synthetic generator against its per-sample draws."""
 
 import csv
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +32,12 @@ from dictad import (
     representation_errors,
     rls_update,
     save_csv,
+    SynthConfig,
+    synth_generate,
     train,
 )
+from dictad import data_io
+from dictad.data_io import _SIGNS, DataError
 
 from test_online import _sparse_cols
 from test_sparse_coding import naive_omp_oracle
@@ -234,3 +240,80 @@ def test_save_csv_bytes_across_write_chunks(tmp_path):
     p = tmp_path / "big.csv"
     save_csv(Dataset(Y, labels, ["a", "b", "c"]), p)
     assert p.read_bytes() == _old_save_csv_bytes(Y, labels, ["a", "b", "c"])
+
+
+def _per_sample_synth(cfg):
+    # synth_generate as it was before block draws, one sample per loop turn
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.disjoint_support and cfg.m < cfg.normal_atoms + cfg.anomaly_atoms:
+        raise DataError(
+            f"m={cfg.m} too small to orthogonalize {cfg.normal_atoms}+{cfg.anomaly_atoms} atoms"
+        )
+    Dn = rng.standard_normal((cfg.m, cfg.normal_atoms))
+    Dn /= np.linalg.norm(Dn, axis=0)
+    Da = rng.standard_normal((cfg.m, cfg.anomaly_atoms))
+    if cfg.disjoint_support:
+        # orthogonalize anomaly atoms against the normal atoms (and each other)
+        Qn, _ = np.linalg.qr(Dn)
+        Da -= Qn @ (Qn.T @ Da)
+        Da, _ = np.linalg.qr(Da)
+    else:
+        Da /= np.linalg.norm(Da, axis=0)
+
+    def draw(D, count):
+        n_atoms = D.shape[1]
+        s = min(cfg.s_gen, n_atoms)
+        Y = np.empty((cfg.m, count))
+        codes = np.zeros((n_atoms, count))
+        for i in range(count):
+            sup = rng.choice(n_atoms, size=s, replace=False)
+            vals = rng.uniform(0.5, 1.5, size=s)
+            if not cfg.positive_codes:
+                vals *= _SIGNS[rng.integers(0, 2, size=s)]
+            codes[sup, i] = vals
+            Y[:, i] = D[:, sup] @ vals
+        Y += cfg.noise_sigma * rng.standard_normal(Y.shape)
+        return Y, codes
+
+    Yn, Cn = draw(Dn, cfg.n_normal)
+    Ya, Ca = draw(Da, cfg.n_anomaly)
+    return np.hstack([Yn, Ya]), Dn, Da, Cn, Ca
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_synth_generate_equals_per_sample_draws(data):
+    # 1 to 40 atoms, or the most numpy's Floyd sampling takes
+    atoms = st.integers(1, 44).map(lambda a: a if a <= 40 else data_io.MAX_SYNTH_ATOMS)
+    na, aa = data.draw(atoms), data.draw(atoms)
+    # a few atoms per sample, or one below, at or above an atom count
+    s_gen = data.draw(st.one_of(
+        st.integers(1, 6),
+        st.tuples(st.sampled_from([na, aa]), st.sampled_from([-1, 0, 1])).map(
+            lambda t: max(1, sum(t))),
+    ))
+    disjoint = na + aa <= 80 and data.draw(st.booleans())
+    m = na + aa + data.draw(st.integers(0, 3)) if disjoint else data.draw(st.integers(1, 8))
+    n_normal = data.draw(st.integers(1, 3 if s_gen > 100 else 150))
+    cfg = SynthConfig(n_normal, data.draw(st.integers(0, n_normal)), m, na, aa, s_gen,
+                      data.draw(st.sampled_from([0.0, 0.1])), disjoint,
+                      data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans()))
+    # small budgets put block boundaries inside these sample counts
+    with mock.patch.object(data_io, "_BLOCK_ELEMENTS", data.draw(st.integers(1, 1000))):
+        _assert_synth_equals_per_sample_draws(cfg)
+
+
+@pytest.mark.parametrize("positive", [False, True])
+def test_synth_generate_equals_per_sample_draws_across_blocks(positive):
+    # 10,000 atoms make blocks of about 100 samples under the default budget
+    _assert_synth_equals_per_sample_draws(
+        SynthConfig(250, 0, 3, data_io.MAX_SYNTH_ATOMS, 1, 4, 0.1, False, 21, positive))
+
+
+def _assert_synth_equals_per_sample_draws(cfg):
+    ds = synth_generate(cfg)
+    want = _per_sample_synth(cfg)
+    got = (ds.Y, ds.provenance["normal_dictionary"], ds.provenance["anomaly_dictionary"],
+           ds.provenance["normal_codes"], ds.provenance["anomaly_codes"])
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
