@@ -326,5 +326,8 @@ def run_experiment(method: str, params: dict, out_dir) -> dict:
         raise ConfigError(f"unknown method {method!r}")
     params = resolve_params(method, params)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return RUNNERS[method](params, out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return RUNNERS[method](params, out_dir)
+    except OSError as e:  # loading reports its OSErrors as DataError: this is an output
+        raise ConfigError(f"cannot write {e.filename or out_dir}: {e.strerror}") from None

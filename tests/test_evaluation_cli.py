@@ -385,3 +385,28 @@ def test_cli_eval_subsample_ratio_exit_2(tmp_path, capsys):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o2").exists()
+
+
+@pytest.mark.parametrize("verb, blocked", [
+    ("synth", "out"),
+    ("synth", "out/dataset.csv"),
+    ("eval", "out/result.json"),
+], ids=["out-is-a-file", "synth-dataset-is-a-directory", "eval-result-is-a-directory"])
+def test_cli_unusable_output_path_exit_2(tmp_path, capsys, verb, blocked):
+    data_dir = tmp_path / "data"
+    assert main(_synth_flags(data_dir)) == 0
+    preds = tmp_path / "preds.txt"
+    preds.write_text("0\n" * 48)
+    capsys.readouterr()
+    path = tmp_path / blocked
+    if blocked == "out":
+        path.write_text("")
+    else:
+        path.mkdir(parents=True)
+    argv = (_synth_flags(tmp_path / "out") if verb == "synth" else
+            ["eval", "--out", str(tmp_path / "out"), "--dataset", str(data_dir / "dataset.csv"),
+             "--schema", "generic", "--label-column", "Class", "--predictions", str(preds)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {path}: " + (
+        "File exists\n" if blocked == "out" else "Is a directory\n")

@@ -176,7 +176,18 @@ _CELL_FORMS = [
 ]
 # bounded so that no rounded form (%.3E of 1.7975e308) overflows to inf
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]
-_finite = st.one_of(st.floats(-1e308, 1e308), st.sampled_from(_EDGE_FLOATS))
+# where '%.17g' changes notation or rounds on a tie: 10^e and its neighbours,
+# then n + 0.25 and n + 0.75 for n in [2^50, 2^51) (17 digits end in .2|5
+# or .7|5) and those scaled by 10^-j
+_POWERS_OF_TEN = np.array([10.0**e for e in range(-6, 19)])
+_TIES = np.add.outer(np.linspace(2**50, 2**51 - 1, 9).round(), [0.25, 0.75]).ravel()
+_DECIMAL_EDGES = np.concatenate([
+    _POWERS_OF_TEN, np.nextafter(_POWERS_OF_TEN, 0), np.nextafter(_POWERS_OF_TEN, np.inf),
+    _TIES, np.multiply.outer(_TIES, 10.0 ** -np.arange(1, 21)).ravel(),
+])
+_DECIMAL_EDGES = np.concatenate([_DECIMAL_EDGES, -_DECIMAL_EDGES]).tolist()
+_finite = st.one_of(st.floats(-1e308, 1e308), st.sampled_from(_EDGE_FLOATS),
+                    st.sampled_from(_DECIMAL_EDGES))
 
 
 def _bits(a):
@@ -240,6 +251,27 @@ def test_save_csv_bytes_across_write_chunks(tmp_path):
     p = tmp_path / "big.csv"
     save_csv(Dataset(Y, labels, ["a", "b", "c"]), p)
     assert p.read_bytes() == _old_save_csv_bytes(Y, labels, ["a", "b", "c"])
+
+
+def test_save_csv_bytes_at_format_branch_points(tmp_path):
+    # the values where the writer's digit arithmetic or its hand-over to
+    # Python could slip: notation changes, ties, integers around 2^53 and
+    # halves around 2^51, whose 17 digits are m 2^e 10^k with e + k = 0
+    ulps = [np.nextafter(v, d) for v in (1e-4, 1e17) for d in (0, np.inf)]
+    values = np.concatenate([
+        [0.0, -0.0, 1e-4, 1e17], ulps, _DECIMAL_EDGES,
+        2.0**53 + np.arange(-40, 41), 2.0**51 + np.arange(-40, 41) / 2,
+        [5e-324, -5e-324, 2.225e-308, -1e-310, 1.7976931348623157e308,
+         -1.7976931348623157e308, np.nan, np.inf, -np.inf],
+    ])
+    values = np.concatenate([values, -values])
+    rows = 2_100  # crosses two 1,024-row write blocks
+    Y = np.resize(values, 3 * rows).reshape(rows, 3).T
+    labels = np.arange(rows) % 2
+    for lab in (labels, None):
+        p = tmp_path / "edges.csv"
+        save_csv(Dataset(Y, lab, ["a", "b", "c"]), p)
+        assert p.read_bytes() == _old_save_csv_bytes(Y, lab, ["a", "b", "c"])
 
 
 def _per_sample_synth(cfg):
