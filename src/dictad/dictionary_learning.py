@@ -2,8 +2,7 @@
 
 One training iteration = OMP coding of all signals, then a single
 power-iteration-style update of every used atom with supports held fixed.
-Dead atoms are optionally replaced by the currently worst-represented
-signals.
+Dead atoms are replaced by the currently worst-represented signals.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ class DLConfig:
     iterations: int
     coding: CodingConfig
     seed: int = 0
-    replace_unused: bool = True
 
     def __post_init__(self):
         if self.n_atoms < self.coding.s:
@@ -160,7 +158,6 @@ def train(Y: np.ndarray, cfg: DLConfig) -> DLResult:
             X = X_new
         D, X = atom_update_pass(D, Y, X)
         trace[it] = objective(D, Y, X)
-        if cfg.replace_unused:
-            D = _replace_dead_atoms(D, Y, X)
+        D = _replace_dead_atoms(D, Y, X)
     unused = [int(j) for j in np.flatnonzero(atom_popularity(X) == 0)]
     return DLResult(D, X, trace, unused)

@@ -1,8 +1,9 @@
 """Experiment drivers behind the CLI.
 
 run_experiment checks and completes a flat parameter dict against PARAMS
-before it touches a file; each driver then runs one experiment and writes
-its artifacts plus a result.json echoing the full configuration, the
+before it touches a file. The verb's driver in RUNNERS then runs one
+experiment, writes its artifacts and returns its metrics; run_experiment
+times it and writes result.json, which echoes the full configuration, the
 metrics and the wall time. Identical config + seed reruns produce
 byte-identical artifacts except the wall-time field.
 """
@@ -179,15 +180,6 @@ def _lambda_policy(params):
     return GRAM_NORM if params["lambda_policy"] == "gram-norm" else MODEL_NORMS
 
 
-def _write_result(out_dir: Path, method: str, params: dict, metrics: dict, t0: float):
-    result = {"method": method, "config": params, "seed": params["seed"], "metrics": metrics,
-              "wall_time_s": time.perf_counter() - t0}
-    with open(out_dir / "result.json", "w") as f:
-        json.dump(result, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return result
-
-
 def _pretrain_model(ds: Dataset, params: dict):
     if ds.labels is None:
         raise DataError("pretraining needs labels")
@@ -197,7 +189,6 @@ def _pretrain_model(ds: Dataset, params: dict):
 
 
 def run_pretrain(params: dict, out_dir: Path) -> dict:
-    t0 = time.perf_counter()
     ds = _load_dataset(params)
     model = _pretrain_model(ds, params)
     coding = _coding(params)
@@ -205,11 +196,10 @@ def run_pretrain(params: dict, out_dir: Path) -> dict:
     preds = [classify(model.W, x)[0] for x in codes.columns]
     rep = confusion(ds.labels, preds)
     save_model(out_dir / "model.npz", model, coding.s)
-    return _write_result(out_dir, "pretrain", params, {"train": rep.as_dict()}, t0)
+    return {"train": rep.as_dict()}
 
 
 def run_toddler(params: dict, out_dir: Path) -> dict:
-    t0 = time.perf_counter()
     ds = _load_dataset(params)
     if ds.labels is None:
         raise DataError("the online experiment needs labels for evaluation")
@@ -240,8 +230,7 @@ def run_toddler(params: dict, out_dir: Path) -> dict:
             w.writerow([int(i), int(outcome.predicted_class), int(ds.labels[i])])
     rep = confusion(ds.labels[stream_idx], preds)
     save_state(out_dir / "checkpoint.npz", state)
-    metrics = {"stream": rep.as_dict(), "n_pretrain": n_pre}
-    return _write_result(out_dir, "toddler", params, metrics, t0)
+    return {"stream": rep.as_dict(), "n_pretrain": n_pre}
 
 
 def _write_labels(out_dir: Path, labels):
@@ -257,17 +246,15 @@ def _filter_metrics(ds: Dataset, labels, trace) -> dict:
 
 
 def run_addl(params: dict, out_dir: Path) -> dict:
-    t0 = time.perf_counter()
     ds = _load_dataset(params)
     cfg = ADDLConfig(params["global_iterations"], _stage_dl(params), _coding(params))
     labels, trace = addl_run(ds.Y, cfg, truth=ds.labels)
     _write_labels(out_dir, labels)
     trace.to_csv(out_dir / "trace.csv")
-    return _write_result(out_dir, "addl", params, _filter_metrics(ds, labels, trace), t0)
+    return _filter_metrics(ds, labels, trace)
 
 
 def run_popularity(params: dict, out_dir: Path) -> dict:
-    t0 = time.perf_counter()
     ds = _load_dataset(params)
     n_anom = params["n_anomalies"]
     if n_anom is None:
@@ -279,20 +266,17 @@ def run_popularity(params: dict, out_dir: Path) -> dict:
     labels, trace = popularity_filter_run(ds.Y, cfg, truth=ds.labels)
     _write_labels(out_dir, labels)
     trace.to_csv(out_dir / "trace.csv")
-    return _write_result(out_dir, "popularity", params, _filter_metrics(ds, labels, trace), t0)
+    return _filter_metrics(ds, labels, trace)
 
 
 def run_synth(params: dict, out_dir: Path) -> dict:
-    t0 = time.perf_counter()
     ds = synth_generate(SynthConfig(**params["synth"]))
     save_csv(ds, out_dir / "dataset.csv")
-    metrics = {"n_samples": ds.n_samples, "n_features": ds.n_features,
-               "n_anomalies": int(np.sum(ds.labels))}
-    return _write_result(out_dir, "synth", params, metrics, t0)
+    return {"n_samples": ds.n_samples, "n_features": ds.n_features,
+            "n_anomalies": int(np.sum(ds.labels))}
 
 
 def run_eval(params: dict, out_dir: Path) -> dict:
-    t0 = time.perf_counter()
     ds = _load_dataset(params)
     if ds.labels is None:
         raise DataError("evaluation needs ground-truth labels in the dataset")
@@ -308,7 +292,7 @@ def run_eval(params: dict, out_dir: Path) -> dict:
         k, text = next((k, t) for k, t in enumerate(lines, 1) if t not in ("0", "1", ""))
         raise DataError(f"{pred_path}: line {k} is {text!r}, not 0 or 1")
     rep = confusion(ds.labels, [t == "1" for t in lines if t])
-    return _write_result(out_dir, "eval", params, rep.as_dict(), t0)
+    return rep.as_dict()
 
 
 RUNNERS = {
@@ -322,12 +306,20 @@ RUNNERS = {
 
 
 def run_experiment(method: str, params: dict, out_dir) -> dict:
+    """Run one verb into out_dir; returns the record it writes to result.json."""
     if method not in RUNNERS:
         raise ConfigError(f"unknown method {method!r}")
     params = resolve_params(method, params)
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        return RUNNERS[method](params, out_dir)
+        t0 = time.perf_counter()
+        metrics = RUNNERS[method](params, out_dir)
+        result = {"method": method, "config": params, "seed": params["seed"],
+                  "metrics": metrics, "wall_time_s": time.perf_counter() - t0}
+        with open(out_dir / "result.json", "w") as f:
+            json.dump(result, f, indent=2, sort_keys=True)
+            f.write("\n")
+        return result
     except OSError as e:  # loading reports its OSErrors as DataError: this is an output
         raise ConfigError(f"cannot write {e.filename or out_dir}: {e.strerror}") from None

@@ -16,15 +16,13 @@ ridge and recomputes Ginv exactly, which also clears Sherman-Morrison drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, omp
-from .supervised import DiscriminativeModel, classify
-
-STATE_FORMAT_VERSION = 1
+from .supervised import DiscriminativeModel, classify, load_model_file, save_model_file
 
 # Sherman-Morrison drift grows about 170x per 100 updates at phi = 0.95, so
 # this keeps ||Ginv G - I||_F far below 1e-6*n at any point.
@@ -205,13 +203,9 @@ def toddler_step(state: OnlineState, y: np.ndarray):
 
 def save_state(path, state: OnlineState):
     """Checkpoint the full online state (bit-exact round trip, versioned)."""
-    np.savez(
+    save_model_file(
         path,
-        format_version=np.int64(STATE_FORMAT_VERSION),
-        D=state.model.D.atoms,
-        W=state.model.W,
-        A=state.model.A,
-        class_of_atom=state.model.class_of_atom,
+        state.model,
         G=state.G,
         Ginv=state.Ginv,
         phi=np.float64(state.phi),
@@ -225,21 +219,11 @@ def save_state(path, state: OnlineState):
 
 
 def load_state(path) -> OnlineState:
-    with np.load(path) as z:
-        if int(z["format_version"]) != STATE_FORMAT_VERSION:
-            raise DataError(f"unsupported state format version {int(z['format_version'])}")
-        model = DiscriminativeModel(
-            Dictionary(z["D"]), z["W"], z["A"], z["class_of_atom"].astype(int)
-        )
-        policy = LambdaPolicy(
-            str(z["policy_kind"]), float(z["policy_lambda1"]), float(z["policy_lambda2"])
-        )
-        return OnlineState(
-            model,
-            z["G"],
-            z["Ginv"],
-            float(z["phi"]),
-            policy,
-            int(z["samples_seen"]),
-            CodingConfig(int(z["coding_s"]), float(z["coding_residual_tol"])),
-        )
+    model, z = load_model_file(path, "state", (
+        "G", "Ginv", "phi", "policy_kind", "policy_lambda1", "policy_lambda2", "samples_seen",
+        "coding_s", "coding_residual_tol"))
+    policy = LambdaPolicy(
+        str(z["policy_kind"]), float(z["policy_lambda1"]), float(z["policy_lambda2"])
+    )
+    return OnlineState(model, z["G"], z["Ginv"], float(z["phi"]), policy, int(z["samples_seen"]),
+                       CodingConfig(int(z["coding_s"]), float(z["coding_residual_tol"])))

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# The LAPACK gufunc behind np.linalg.solve for one right-hand side; called
-# directly, since the wrapper's checks and conversions cost more than the
-# solve itself on the k x k support Grams of a single signal.
+# The LAPACK gufunc behind np.linalg.solve for one right-hand side; both OMP
+# paths call it directly through _solve, since the wrapper's checks and
+# conversions cost more than the solve itself on the k x k support Grams.
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import CodingError
@@ -41,16 +41,6 @@ class Dictionary:
     @property
     def n(self) -> int:
         return self.atoms.shape[1]
-
-    def validate(self, unit_norm: bool = True, tol: float = 1e-9):
-        """Check column norms. Online (RLS-updated) dictionaries skip the
-        unit-norm check: the rank-one update deliberately leaves atoms raw."""
-        norms = np.linalg.norm(self.atoms, axis=0)
-        if np.any(norms == 0.0):
-            raise CodingError("dictionary contains an all-zero atom")
-        if unit_norm and np.any(np.abs(norms - 1.0) > tol):
-            j = int(np.argmax(np.abs(norms - 1.0)))
-            raise CodingError(f"atom {j} has norm {norms[j]:.12g}, expected 1")
 
 
 @dataclass
@@ -177,21 +167,16 @@ def _check_shapes(A: np.ndarray, signal_dim: int, cfg: CodingConfig):
         raise CodingError(f"sparsity {cfg.s} exceeds atom count {A.shape[1]}")
 
 
-def _batch_omp(D: Dictionary, Y: np.ndarray, cfg: CodingConfig) -> SparseCodeMatrix:
-    """Batch-OMP on every column of Y, _CHUNK columns in lockstep at a time,
-    with G = D^T D computed once."""
-    A = D.atoms
-    n = A.shape[1]
-    _check_shapes(A, Y.shape[0], cfg)
-    N = Y.shape[1]
-    G = A.T @ A
-    supports = np.zeros((N, cfg.s), dtype=int)
-    values = np.zeros((N, cfg.s))
-    nnz = np.zeros(N, dtype=int)
-    for lo in range(0, N, _CHUNK):
-        hi = min(lo + _CHUNK, N)
-        _lockstep(A, G, Y[:, lo:hi], cfg, lo, supports[lo:hi], values[lo:hi], nnz[lo:hi])
-    return SparseCodeMatrix.from_arrays(supports, values, nnz, n)
+def _raise_linalg_error(err, flag):
+    raise np.linalg.LinAlgError
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gram^-1 rhs for one system or a stack of them, under np.linalg.solve's
+    own error state: only a singular matrix raises LinAlgError."""
+    with np.errstate(call=_raise_linalg_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _solve1(gram, rhs, signature="dd->d")
 
 
 def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
@@ -219,7 +204,7 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
         Sk = S[:, :k + 1]
         gram = G[Sk[:, :, None], Sk[:, None, :]]
         try:
-            coef[:, :k + 1] = np.linalg.solve(gram, a0[rows, Sk, None])[:, :, 0]
+            coef[:, :k + 1] = _solve(gram, a0[rows, Sk])
         except np.linalg.LinAlgError:
             i = int(np.argmin(np.abs(np.linalg.det(gram))))
             raise CodingError(
@@ -235,10 +220,6 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
                 keep = ~done
                 live, a0, y, tol, S, coef = (v[keep] for v in (live, a0, y, tol, S, coef))
     supports[live], values[live], nnz[live] = S, coef, cfg.s
-
-
-def _raise_linalg_error(err, flag):
-    raise np.linalg.LinAlgError
 
 
 def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
@@ -264,10 +245,8 @@ def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
         S[k] = corr.argmax()
         Sk = S[:k + 1]
         rows = G.take(Sk, axis=0)
-        try:  # np.linalg.solve's own error state: only a singular matrix raises
-            with np.errstate(call=_raise_linalg_error, invalid="call", over="ignore",
-                             divide="ignore", under="ignore"):
-                coef = _solve1(rows.take(Sk, axis=1), a0.take(Sk), signature="dd->d")
+        try:
+            coef = _solve(rows.take(Sk, axis=1), a0.take(Sk))
         except np.linalg.LinAlgError:
             raise CodingError(
                 f"singular support sub-matrix on atoms {Sk.tolist()} "
@@ -281,11 +260,22 @@ def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
 
 
 def batch_code(D: Dictionary, Y: np.ndarray, cfg: CodingConfig) -> SparseCodeMatrix:
-    """Code every column of Y; column i's code equals omp(D, Y[:, i], cfg)."""
+    """Batch-OMP on every column of Y, _CHUNK columns in lockstep at a time,
+    with G = D^T D computed once; column i's code equals omp(D, Y[:, i], cfg)."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] < 1:
         raise CodingError("batch input must be an m x N matrix with N >= 1")
-    return _batch_omp(D, Y, cfg)
+    A = D.atoms
+    _check_shapes(A, Y.shape[0], cfg)
+    N = Y.shape[1]
+    G = A.T @ A
+    supports = np.zeros((N, cfg.s), dtype=int)
+    values = np.zeros((N, cfg.s))
+    nnz = np.zeros(N, dtype=int)
+    for lo in range(0, N, _CHUNK):
+        c = slice(lo, lo + _CHUNK)
+        _lockstep(A, G, Y[:, c], cfg, lo, supports[c], values[c], nnz[c])
+    return SparseCodeMatrix.from_arrays(supports, values, nnz, A.shape[1])
 
 
 def residuals(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> np.ndarray:

@@ -9,6 +9,7 @@ meets the unit-atom constraint, pushing the scale into W and A.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import DataError
 from .dictionary_learning import DLConfig, train
 from .sparse_coding import Dictionary, SparseCode
 
+# the layout of model.npz and of the online checkpoint, which extends it
 MODEL_FORMAT_VERSION = 1
 
 
@@ -115,25 +117,44 @@ def classify(W: np.ndarray, x: SparseCode):
     return int(np.argmax(scores)), scores
 
 
+def save_model_file(path, model: DiscriminativeModel, **extra):
+    """Write format_version, D, W, A and class_of_atom, then the extra arrays,
+    in that order (bit-exact round trip through load_model_file)."""
+    np.savez(path, format_version=np.int64(MODEL_FORMAT_VERSION), D=model.D.atoms,
+             W=model.W, A=model.A, class_of_atom=model.class_of_atom, **extra)
+
+
+def load_model_file(path, kind: str, extra: tuple[str, ...]):
+    """Inverse of save_model_file: (model, {name: array} of the extra names).
+    DataError when path cannot be read, is not an .npz, lacks an array that a
+    `kind` file ("model" or "state") holds or has another format version."""
+    try:  # np.load leaks the handle it opens when the zip is truncated
+        with open(path, "rb") as f:
+            z = np.load(f)
+            if not isinstance(z, np.lib.npyio.NpzFile):  # a bare .npy array
+                raise ValueError
+            arrays = {k: z[k] for k in z.files}
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from None
+    except (ValueError, zipfile.BadZipFile):  # e.g. a CSV: numpy refuses it as pickled data
+        raise DataError(f"{path} is not a {kind} file (.npz)") from None
+    missing = [k for k in ("format_version", "D", "W", "A", "class_of_atom", *extra)
+               if k not in arrays]
+    if missing:
+        raise DataError(f"{path} is not a {kind} file: no {', '.join(missing)}")
+    if int(arrays["format_version"]) != MODEL_FORMAT_VERSION:
+        raise DataError(f"unsupported {kind} format version {int(arrays['format_version'])}")
+    model = DiscriminativeModel(Dictionary(arrays["D"]), arrays["W"], arrays["A"],
+                                arrays["class_of_atom"].astype(int))
+    return model, {k: arrays[k] for k in extra}
+
+
 def save_model(path, model: DiscriminativeModel, sparsity: int):
     """Serialize a pretrained model (bit-exact round trip, versioned)."""
-    np.savez(
-        path,
-        format_version=np.int64(MODEL_FORMAT_VERSION),
-        D=model.D.atoms,
-        W=model.W,
-        A=model.A,
-        class_of_atom=model.class_of_atom,
-        sparsity=np.int64(sparsity),
-    )
+    save_model_file(path, model, sparsity=np.int64(sparsity))
 
 
 def load_model(path):
     """Inverse of save_model; returns (model, sparsity)."""
-    with np.load(path) as z:
-        if int(z["format_version"]) != MODEL_FORMAT_VERSION:
-            raise DataError(f"unsupported model format version {int(z['format_version'])}")
-        model = DiscriminativeModel(
-            Dictionary(z["D"]), z["W"], z["A"], z["class_of_atom"].astype(int)
-        )
-        return model, int(z["sparsity"])
+    model, z = load_model_file(path, "model", ("sparsity",))
+    return model, int(z["sparsity"])

@@ -146,7 +146,7 @@ def test_unused_atom_diagnostics():
     # one dominant direction, more atoms than the data can occupy
     rng = np.random.default_rng(13)
     Y = np.outer(np.array([1.0, 0, 0, 0]), rng.uniform(1, 2, 30))
-    res = train(Y, DLConfig(4, 3, CodingConfig(1), seed=13, replace_unused=False))
+    res = train(Y, DLConfig(4, 3, CodingConfig(1), seed=13))
     pop_used = set(range(4)) - set(res.unused_atoms)
     assert len(pop_used) >= 1
     assert all(0 <= j < 4 for j in res.unused_atoms)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dictad import ConfusionReport, DataError, confusion
+from dictad import ConfusionReport, DataError, confusion, run_experiment
 from dictad.cli import main
 from dictad.data_io import ULB_FEATURES
 
@@ -165,6 +165,29 @@ def test_cli_eval_verb(tmp_path):
     assert rc == 0
     result = json.loads((out / "result.json").read_text())
     assert result["metrics"]["accuracy"] == 1.0
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("synth", {"synth": {"n_normal": 40, "n_anomaly": 8, "m": 12, "normal_atoms": 4,
+                         "anomaly_atoms": 3, "s_gen": 2, "noise_sigma": 0.01}}),
+    ("addl", {"global_iterations": 2}),
+    ("popularity", {"max_iterations": 3}),
+    ("pretrain", {"atoms_per_class": 4}),
+    ("toddler", {"atoms_per_class": 4, "pretrain_fraction": 0.5}),
+    ("eval", {}),
+])
+def test_result_json_is_the_returned_record(tmp_path, verb, extra):
+    data_dir = tmp_path / "data"
+    assert main(_synth_flags(data_dir)) == 0
+    preds = tmp_path / "preds.txt"
+    preds.write_text("0\n" * 48)
+    params = {"dataset": str(data_dir / "dataset.csv"), "schema": "generic",
+              "label_column": "Class", "predictions": str(preds), "sparsity": 2,
+              "stage_atoms": 4, "dl_iterations": 2, "seed": 2, **extra}
+    result = run_experiment(verb, params, tmp_path / "out")
+    assert set(result) == {"method", "config", "seed", "metrics", "wall_time_s"}
+    assert result["method"] == verb
+    assert json.loads((tmp_path / "out" / "result.json").read_text()) == result
 
 
 def test_cli_missing_config_file_exit_2(tmp_path, capsys):

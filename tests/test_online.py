@@ -14,8 +14,10 @@ from dictad import (
     fixed_lambdas,
     init_state,
     lambda_select,
+    load_model,
     load_state,
     rls_update,
+    save_model,
     save_state,
     spectral_norm,
     tikhonov_update,
@@ -290,6 +292,50 @@ def test_state_checkpoint_round_trip(tmp_path):
     assert st2.lambda_policy == st.lambda_policy
     assert st2.samples_seen == st.samples_seen
     assert st2.coding == st.coding
+
+
+_MODEL_ARRAYS = ["format_version", "D", "W", "A", "class_of_atom"]
+_STATE_ARRAYS = ["G", "Ginv", "phi", "policy_kind", "policy_lambda1", "policy_lambda2",
+                 "samples_seen", "coding_s", "coding_residual_tol"]
+
+
+def _model_files(tmp_path):
+    """A model.npz and a checkpoint.npz of one toy state, the checkpoint's
+    first half, the checkpoint with the next format version and a dataset CSV."""
+    st, _ = _toy_state(seed=18)
+    save_model(tmp_path / "model.npz", st.model, sparsity=2)
+    save_state(tmp_path / "checkpoint.npz", st)
+    whole = (tmp_path / "checkpoint.npz").read_bytes()
+    (tmp_path / "truncated.npz").write_bytes(whole[:len(whole) // 2])
+    with np.load(tmp_path / "checkpoint.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    np.savez(tmp_path / "next-version.npz", **{**arrays, "format_version": np.int64(2)})
+    (tmp_path / "dataset.csv").write_text("a,Class\n1,0\n2,1\n")
+    return {"model": load_model, "state": load_state}
+
+
+def test_model_files_list_the_model_arrays_first(tmp_path):
+    _model_files(tmp_path)
+    with np.load(tmp_path / "model.npz") as z:
+        assert z.files == _MODEL_ARRAYS + ["sparsity"]
+    with np.load(tmp_path / "checkpoint.npz") as z:
+        assert z.files == _MODEL_ARRAYS + _STATE_ARRAYS
+
+
+@pytest.mark.parametrize("kind, name, message", [
+    ("state", "model.npz", "is not a state file: no G, Ginv, phi, policy_kind"),
+    ("model", "checkpoint.npz", "is not a model file: no sparsity$"),
+    ("state", "dataset.csv", r"is not a state file \(.npz\)$"),
+    ("model", "dataset.csv", r"is not a model file \(.npz\)$"),
+    ("state", "truncated.npz", r"is not a state file \(.npz\)$"),
+    ("state", "missing.npz", "^cannot read .*missing.npz: No such file"),
+    ("state", "next-version.npz", "^unsupported state format version 2$"),
+], ids=["model-as-state", "state-as-model", "csv-as-state", "csv-as-model", "truncated",
+        "missing", "state-version"])
+def test_load_wrong_file_raises_data_error(tmp_path, kind, name, message):
+    loaders = _model_files(tmp_path)
+    with pytest.raises(DataError, match=message):
+        loaders[kind](tmp_path / name)
 
 
 def test_rls_unused_atom_under_forgetting_stays_finite():

@@ -2,9 +2,12 @@
 statistics (m, n, s, N), including all-zero and exactly representable
 signals; the phi = 1 RLS stream against batch least squares; the AK-SVD
 objective trace; CSV reading and writing against per-value oracles; the
-block-drawn synthetic generator against its per-sample draws."""
+block-drawn synthetic generator against its per-sample draws; library calls
+leave their input arrays unchanged."""
 
+import copy
 import csv
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dictad import (
+    ADDLConfig,
     CodingConfig,
     CodingError,
     Dictionary,
@@ -24,19 +28,25 @@ from dictad import (
     DLConfig,
     SparseCode,
     SparseCodeMatrix,
+    addl_run,
     atom_popularity,
     batch_code,
+    classify,
     init_state,
     load_csv,
+    normalize,
     omp,
     representation_errors,
     rls_update,
     save_csv,
+    subsample,
     SynthConfig,
     synth_generate,
+    tikhonov_update,
     train,
 )
 from dictad import data_io
+from dictad.dictionary_learning import atom_update_pass
 from dictad.data_io import _SIGNS, DataError
 
 from test_online import _sparse_cols
@@ -349,3 +359,52 @@ def _assert_synth_equals_per_sample_draws(cfg):
            ds.provenance["normal_codes"], ds.provenance["anomaly_codes"])
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _input_arrays(value):
+    """Every array an argument holds, in a fixed order: the argument itself,
+    the fields of a dataclass or code matrix, the items of a tuple or list."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value) or isinstance(value, SparseCodeMatrix):
+        value = list(vars(value).values())
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _input_arrays(v)]
+    return []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_library_calls_leave_inputs_unchanged(s, extra_atoms, extra_rows, seed):
+    n, m = s + extra_atoms, s + 2 + extra_rows
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    D = Dictionary(A / np.linalg.norm(A, axis=0))
+    N = n + int(rng.integers(2, 12))
+    Y = rng.standard_normal((m, N))
+    labels = (np.arange(N) < int(rng.integers(1, N // 2 + 1))).astype(int)
+    ds = Dataset(Y, labels, [f"f{i}" for i in range(m)])
+    cfg = CodingConfig(s)
+    X = batch_code(D, Y, cfg)
+    x = X.columns[0]
+    W = rng.standard_normal((2, n))
+    dl = DLConfig(n, 2, cfg, seed=seed)
+    calls = [
+        (omp, (D, Y[:, 0], cfg)),
+        (batch_code, (D, Y, cfg)),
+        (representation_errors, (D, Y, X)),
+        (atom_update_pass, (D, Y, X)),
+        (train, (Y, dl)),
+        (classify, (W, x)),
+        (tikhonov_update, (W, rng.standard_normal(2), x, 0.5)),
+        (normalize, (ds,)),
+        (subsample, (ds, 1, seed)),
+        (addl_run, (Y, ADDLConfig(2, dl, cfg), labels)),
+    ]
+    for fn, args in calls:
+        before = _input_arrays(copy.deepcopy(args))
+        fn(*args)
+        after = _input_arrays(args)
+        assert len(after) == len(before)
+        for a, b in zip(after, before):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), fn.__name__

@@ -240,15 +240,6 @@ def test_popularity_matches_brute_force_and_total_nnz():
     assert p.sum() == sum(c.nnz for c in cols)
 
 
-def test_dictionary_validate_unit_norm():
-    D = Dictionary(np.column_stack([[2.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(CodingError):
-        D.validate()
-    D.validate(unit_norm=False)
-    with pytest.raises(CodingError):
-        Dictionary(np.column_stack([[0.0, 0.0], [0.0, 1.0]])).validate()
-
-
 def test_strided_signal_codes_like_batch_column():
     # a hypothesis counterexample: Y[:, i] is a strided view, and y @ D on it
     # summed in another order than the batch kernel, moving the last bit

@@ -154,5 +154,5 @@ def test_model_version_checked(tmp_path):
     np.savez(path, format_version=np.int64(MODEL_FORMAT_VERSION + 1),
              D=np.eye(2), W=np.eye(2), A=np.eye(2),
              class_of_atom=np.zeros(2), sparsity=np.int64(1))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="unsupported model format version"):
         load_model(path)
