@@ -16,9 +16,13 @@ ridge and recomputes Ginv exactly, which also clears Sherman-Morrison drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+# The LAPACK gufunc behind np.linalg.svd(M, compute_uv=False); its wrapper's
+# checks cost about a quarter of the call on the n x n Grams of the stream.
+from numpy.linalg._umath_linalg import svd as _svd
 
 from .errors import DataError, NumericalError
 from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, omp
@@ -72,19 +76,27 @@ class ToddlerOutcome:
     reconstruction_error: float
 
 
+def _svd_nonconvergence(err, flag):
+    raise NumericalError("spectral norm: SVD did not converge")
+
+
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value (LAPACK SVD, the bits of np.linalg.norm(M, 2)).
-    Non-finite entries raise NumericalError before LAPACK sees them: given
-    inf, LAPACK prints a DLASCL error to stderr and returns NaN."""
+    """Largest singular value: LAPACK's SVD gufunc behind np.linalg.svd,
+    called directly under that function's own error state, so the bits of
+    np.linalg.norm(M, 2). Non-finite entries raise NumericalError before
+    LAPACK sees them: given inf, LAPACK prints a DLASCL error to stderr and
+    returns NaN."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
+    if M.ndim < 2:
+        raise NumericalError(f"spectral norm: {M.ndim}-dimensional array given. "
+                             "Array must be at least two-dimensional")
     if not np.isfinite(M).all():
         raise NumericalError("spectral norm of a matrix with non-finite entries")
-    try:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"spectral norm: {e}") from None
+    with np.errstate(call=_svd_nonconvergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return float(_svd(M, signature="d->d")[0])
 
 
 def _ridge(G: np.ndarray) -> float:
@@ -101,8 +113,11 @@ def init_state(
     coding: CodingConfig | None = None,
 ) -> OnlineState:
     """Build the online state from pretraining codes: G = X X^T plus a small
-    ridge for conditioning, Ginv its exact inverse. The state owns a copy of
-    the model, so streaming never changes the caller's pretrained model."""
+    ridge (1e-8 times its mean diagonal) for conditioning, Ginv its exact
+    inverse. The ridge stays in G for the whole stream, so at phi = 1 RLS
+    solves the ridged least-squares problem, not the plain one. The state
+    owns a copy of the model, so streaming never changes the caller's
+    pretrained model."""
     if warmup_X.n_columns == 0:
         raise DataError("empty warmup: G is undefined")
     if warmup_X.dim != model.D.n:
@@ -196,7 +211,8 @@ def toddler_step(state: OnlineState, y: np.ndarray):
     lam1, lam2 = lambda_select(state)
     state.model.W = tikhonov_update(state.model.W, h_hat, x, lam1)
     state.model.A = tikhonov_update(state.model.A, q_hat, x, lam2)
-    err = float(np.linalg.norm(np.asarray(y, dtype=float) - state.model.D.atoms @ x.to_dense()))
+    r = np.asarray(y, dtype=float) - state.model.D.atoms @ x.to_dense()
+    err = math.sqrt(r.dot(r))  # np.linalg.norm's arithmetic on a vector
     rls_update(state, y, x)
     return state, ToddlerOutcome(pred, scores, x, lam1, lam2, err)
 

@@ -7,11 +7,15 @@ unsupervised filters. One kernel, Batch-OMP (Rubinstein, Zibulevsky & Elad,
 2008), codes every batch; omp() does the same arithmetic on one column,
 bit-identical to a batch_code column, without the batch bookkeeping. Every
 per-column operation in the kernel is independent of the other columns, so a
-signal codes to the same bits alone or inside any batch.
+signal codes to the same bits alone or inside any batch. A signal stops early
+once its residual norm is within the threshold; neither path forms that
+residual where a rounding bound on the correlation it already holds shows the
+test cannot pass (_exit_bound), so the codes are those of testing every step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,11 +136,13 @@ class SparseCodeMatrix:
 
 @dataclass(frozen=True)
 class CodingConfig:
-    """OMP parameters: target sparsity and residual early-exit threshold.
+    """OMP parameters: target sparsity and early-exit threshold.
 
     residual_tol is an absolute norm; the effective threshold is
     max(residual_tol, 1e-9 * ||y||) so exactly-representable signals
-    terminate early instead of chasing rounding noise.
+    terminate early instead of chasing rounding noise. A code of fewer than s
+    atoms stops once its exact residual norm is within the threshold; that
+    residual is formed only where the bound in _exit_bound leaves it open.
     """
 
     s: int
@@ -179,12 +185,47 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return _solve1(gram, rhs, signature="dd->d")
 
 
+def _exit_bound(G: np.ndarray, m: int, s: int, ynorm, tol):
+    """(base, slope): step k-1's code x can pass the exact exit test only if
+    c* <= base + slope * sqrt(k) * ||x||_2. Floats for omp, arrays in
+    _lockstep.
+
+    Both paths test step k-1's code after step k's argmax, which holds
+    c* = fl(|a0_j - G[j, S] x|) for an atom j outside S (k < s <= n leaves
+    one). In exact arithmetic, |d_j^T r| <= nu ||r|| for r = y - D_S x and
+    nu = max ||d_j|| = sqrt(max diag G). Rounding, to first order in
+    u = eps / 2, with ||x||_1 <= sqrt(k) ||x||_2:
+      - a0_j and G's entries are m-term dot products, G[j, S] x a k-term
+        sum: c* <= (1 + u) |d_j^T r| + (m + 1) u nu ||y|| + (m + k + 1) u
+        nu^2 ||x||_1;
+      - the residual (k-term products, one subtraction) and its norm (the
+        squares' sum within m u, then sqrt): ||r|| <= (1 + (m/2 + 3) u)
+        fl(||r||) + k u nu ||x||_1;
+      - fl(nu) and fl(max diag G) may lie (m/2 + 2) u and m u low, and the
+        bound rounds a few times more.
+    With gamma = 8 (m + s + 4) u, which covers every factor above with room,
+    fl(||r||) <= tol gives c* <= nu ((1 + gamma) tol + 2 gamma (||y|| +
+    nu sqrt(k) ||x||_2)). Gradual underflow adds absolute errors: up to
+    sqrt((m + 1) 2^-1075) in fl(||r||) and m 2^-1075 in each a0 or G entry,
+    which nu 2^-500 covers, and m 2^-1075 |x_i| per G-row term, which the
+    nu^2 term covers once max diag G >= 2^-1000; below that the bound is
+    NaN. A NaN bound or c*, and a c* that overflowed to inf, take the exact
+    test.
+    """
+    gamma = 8 * (m + s + 4) * 2.0**-53  # a Python float, unlike np.finfo's eps
+    gmax = float(G.diagonal().max())
+    nu = math.sqrt(gmax) if gmax >= 2.0**-1000 else math.nan
+    return nu * ((1 + gamma) * tol + 2 * gamma * ynorm + 2.0**-500), 2 * gamma * gmax
+
+
 def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
     """Code the columns of Y (the first is column `first` of the batch) into
     the given output rows. Each step picks, for every live column, the atom
     with the largest |d_j^T r| (ties to the lowest index) from the correlations
     D^T y - G[:, S] x_S and re-solves least squares on the grown support. A
-    column stops at s atoms or once ||y - D_S x_S|| drops below its threshold.
+    column stops at s atoms or once ||y - D_S x_S|| <= its threshold; that
+    residual is formed only for the columns whose correlation at the next
+    step's pick leaves the test open (_exit_bound).
     """
     Yt = np.ascontiguousarray(Y.T)
     alpha0 = np.matmul(Yt[:, None, :], A)[:, 0, :]  # one product per signal
@@ -192,6 +233,8 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
     tol = np.maximum(cfg.residual_tol, 1e-9 * ynorm)
     live = np.flatnonzero(ynorm > tol)
     a0, y, tol = alpha0[live], Yt[live], tol[live]
+    with np.errstate(over="ignore"):
+        base, slope = _exit_bound(G, A.shape[0], cfg.s, ynorm[live], tol)
     S = np.zeros((live.size, cfg.s), dtype=int)
     coef = np.zeros((live.size, cfg.s))
     for k in range(cfg.s):
@@ -201,6 +244,23 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
         corr = np.abs(_weighted_rows(a0, G, S[:, :k], coef[:, :k]))
         corr[rows, S[:, :k]] = -1.0
         S[:, k] = np.argmax(corr, axis=1)
+        if k:
+            cstar = corr[rows[:, 0], S[:, k]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = base + slope * math.sqrt(k) * np.hypot.reduce(coef[:, :k], axis=1)
+            test = np.flatnonzero(~((bound < cstar) & (cstar < np.inf)))
+            r = _weighted_rows(y[test], A.T, S[test, :k], coef[test, :k])
+            done = np.zeros(live.size, dtype=bool)
+            done[test] = np.sqrt((r * r).sum(axis=1)) <= tol[test]
+            if done.any():
+                S[done, k] = 0
+                out = live[done]
+                supports[out], values[out], nnz[out] = S[done], coef[done], k
+                live, a0, y, tol, base, S, coef = (
+                    v[~done] for v in (live, a0, y, tol, base, S, coef))
+                if live.size == 0:
+                    return
+                rows = rows[:live.size]
         Sk = S[:, :k + 1]
         gram = G[Sk[:, :, None], Sk[:, None, :]]
         try:
@@ -211,14 +271,6 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
                 f"column {first + live[i]}: singular support sub-matrix on atoms "
                 f"{Sk[i].tolist()} (duplicate or collinear atoms)"
             ) from None
-        if k + 1 < cfg.s:
-            r = _weighted_rows(y, A.T, Sk, coef[:, :k + 1])
-            done = np.sqrt((r * r).sum(axis=1)) <= tol
-            if done.any():
-                out = live[done]
-                supports[out], values[out], nnz[out] = S[done], coef[done], k + 1
-                keep = ~done
-                live, a0, y, tol, S, coef = (v[keep] for v in (live, a0, y, tol, S, coef))
     supports[live], values[live], nnz[live] = S, coef, cfg.s
 
 
@@ -238,11 +290,16 @@ def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
     S = np.zeros(cfg.s, dtype=int)
     if not ynorm > tol:
         return _trusted_code(S[:0], np.zeros(0), n)
+    base, slope = _exit_bound(G, y.shape[0], cfg.s, float(ynorm), float(tol))
     rows, coef = G[:0], np.zeros(0)  # rows = G[S[:k]]
     for k in range(cfg.s):
         corr = np.abs(a0 - coef @ rows)
         corr[S[:k]] = -1.0
-        S[k] = corr.argmax()
+        j = S[k] = corr.argmax()
+        if k and not base + slope * math.sqrt(k) * math.hypot(*coef) < corr[j] < math.inf:
+            r = y - coef @ A.T.take(S[:k], axis=0)
+            if np.sqrt((r * r).sum()) <= tol:
+                return _trusted_code(S[:k], coef, n)
         Sk = S[:k + 1]
         rows = G.take(Sk, axis=0)
         try:
@@ -252,10 +309,6 @@ def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
                 f"singular support sub-matrix on atoms {Sk.tolist()} "
                 "(duplicate or collinear atoms)"
             ) from None
-        if k + 1 < cfg.s:
-            r = y - coef @ A.T.take(Sk, axis=0)
-            if np.sqrt((r * r).sum()) <= tol:
-                return _trusted_code(Sk, coef, n)
     return _trusted_code(S, coef, n)
 
 

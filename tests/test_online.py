@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dictad import (
     MODEL_NORMS,
 )
 
+from dictad import online
 from dictad.experiments import run_experiment
 from helpers import planted_instance
 
@@ -379,6 +381,32 @@ def test_toddler_step_leaves_caller_model_unchanged():
 def test_spectral_norm_inf_raises_without_lapack_output(capfd):
     with pytest.raises(NumericalError):
         spectral_norm(np.full((3, 3), np.inf))
+    assert capfd.readouterr().err == ""
+
+
+def test_spectral_norm_keeps_the_error_state_and_warns_nothing(capfd, monkeypatch):
+    rng = np.random.default_rng(18)
+    mats = [rng.standard_normal((6, 6)), rng.standard_normal((3, 5)) * 1e-300,
+            rng.standard_normal((4, 4)) * 1e300]
+    before = (np.geterr(), np.geterrcall())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in mats:
+            assert spectral_norm(M) == np.linalg.norm(M, 2)
+            with np.errstate(all="raise"):
+                assert spectral_norm(M) == np.linalg.norm(M, 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            M = np.eye(3)
+            M[1, 2] = bad
+            with pytest.raises(NumericalError, match="non-finite"):
+                spectral_norm(M)
+        with pytest.raises(NumericalError, match="1-dimensional"):
+            spectral_norm(np.ones(3))
+        # LAPACK's non-convergence reaches numpy as the invalid flag
+        monkeypatch.setattr(online, "_svd", lambda M, signature: np.full(1, np.inf) - np.inf)
+        with pytest.raises(NumericalError, match="^spectral norm: SVD did not converge$"):
+            spectral_norm(np.eye(3))
+    assert (np.geterr(), np.geterrcall()) == before
     assert capfd.readouterr().err == ""
 
 

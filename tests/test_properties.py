@@ -1,9 +1,10 @@
 """Property tests over generated shapes: the coding kernel and the code
 statistics (m, n, s, N), including all-zero and exactly representable
-signals; the phi = 1 RLS stream against batch least squares; the AK-SVD
-objective trace; CSV reading and writing against per-value oracles; the
-block-drawn synthetic generator against its per-sample draws; library calls
-leave their input arrays unchanged."""
+signals; both OMP paths against the kernel that tests every early exit on
+the exact residual; the phi = 1 RLS stream against batch least squares; the
+AK-SVD objective trace; CSV reading and writing against per-value oracles;
+the block-drawn synthetic generator against its per-sample draws; library
+calls leave their input arrays unchanged."""
 
 import copy
 import csv
@@ -47,6 +48,7 @@ from dictad import (
 )
 from dictad import data_io
 from dictad.dictionary_learning import atom_update_pass
+from dictad.sparse_coding import _solve, _weighted_rows
 from dictad.data_io import _SIGNS, DataError
 
 from test_online import _sparse_cols
@@ -133,6 +135,170 @@ def test_batch_code_across_lockstep_chunks():
     Y[:, 300] += A[:, 1]
     with pytest.raises(CodingError, match="column 300: singular"):
         batch_code(dup, Y, CodingConfig(2))
+
+
+def _exact_exit_batch(A, Y, cfg):
+    """The coding kernel as it was before the exit bound: the exact residual
+    after every solve but the last decides each column's early exit. It
+    shares the unchanged solve and row-product helpers."""
+    G = A.T @ A
+    Yt = np.ascontiguousarray(Y.T)
+    a0 = np.matmul(Yt[:, None, :], A)[:, 0, :]
+    ynorm = np.linalg.norm(Yt, axis=1)
+    tol = np.maximum(cfg.residual_tol, 1e-9 * ynorm)
+    supports = np.zeros((Yt.shape[0], cfg.s), dtype=int)
+    values = np.zeros((Yt.shape[0], cfg.s))
+    nnz = np.zeros(Yt.shape[0], dtype=int)
+    live = np.flatnonzero(ynorm > tol)
+    a0, y, tol = a0[live], Yt[live], tol[live]
+    S = np.zeros((live.size, cfg.s), dtype=int)
+    coef = np.zeros((live.size, cfg.s))
+    for k in range(cfg.s):
+        rows = np.arange(live.size)[:, None]
+        corr = np.abs(_weighted_rows(a0, G, S[:, :k], coef[:, :k]))
+        corr[rows, S[:, :k]] = -1.0
+        S[:, k] = np.argmax(corr, axis=1)
+        Sk = S[:, :k + 1]
+        gram = G[Sk[:, :, None], Sk[:, None, :]]
+        try:
+            coef[:, :k + 1] = _solve(gram, a0[rows, Sk])
+        except np.linalg.LinAlgError:
+            i = int(np.argmin(np.abs(np.linalg.det(gram))))
+            raise CodingError(f"column {live[i]}: singular support sub-matrix on atoms "
+                              f"{Sk[i].tolist()} (duplicate or collinear atoms)") from None
+        if k + 1 < cfg.s:
+            r = _weighted_rows(y, A.T, Sk, coef[:, :k + 1])
+            done = np.sqrt((r * r).sum(axis=1)) <= tol
+            out = live[done]
+            supports[out], values[out], nnz[out] = S[done], coef[done], k + 1
+            live, a0, y, tol, S, coef = (v[~done] for v in (live, a0, y, tol, S, coef))
+    supports[live], values[live], nnz[live] = S, coef, cfg.s
+    return supports, values, nnz
+
+
+def _exact_exit_omp(A, y, cfg):
+    """omp as it was before the exit bound, on one contiguous signal."""
+    G = A.T @ A
+    a0 = y @ A
+    ynorm = np.sqrt((y * y).sum())
+    tol = max(cfg.residual_tol, 1e-9 * ynorm)
+    S = np.zeros(cfg.s, dtype=int)
+    if not ynorm > tol:
+        return S[:0], np.zeros(0), 0
+    rows, coef = G[:0], np.zeros(0)
+    for k in range(cfg.s):
+        corr = np.abs(a0 - coef @ rows)
+        corr[S[:k]] = -1.0
+        S[k] = corr.argmax()
+        Sk = S[:k + 1]
+        rows = G.take(Sk, axis=0)
+        try:
+            coef = _solve(rows.take(Sk, axis=1), a0.take(Sk))
+        except np.linalg.LinAlgError:
+            raise CodingError(f"singular support sub-matrix on atoms {Sk.tolist()} "
+                              "(duplicate or collinear atoms)") from None
+        if k + 1 < cfg.s:
+            r = y - coef @ A.T.take(Sk, axis=0)
+            if np.sqrt((r * r).sum()) <= tol:
+                return Sk, coef, k + 1
+    return S, coef, cfg.s
+
+
+def _outcome(call):
+    """The bytes of a coding call's arrays, or its error's type and text."""
+    try:
+        return [np.asarray(a).tobytes() for a in call()]
+    except (CodingError, RuntimeWarning) as e:
+        return [type(e).__name__, str(e)]
+
+
+@st.composite
+def exit_instances(draw):
+    """Dictionaries of random or mutually orthogonal atoms at scales from
+    1e-60 to 1e60 or near 1e-155, with an optional zero, duplicate or
+    near-duplicate atom; signals that are random, exactly representable,
+    representable but for one small extra atom (so the residual lies along
+    an atom), zero or non-finite, at sizes near 1 or near 1e-150; and
+    residual_tol at 0, at a residual norm of the exact kernel or one ulp
+    either side of it, or random."""
+    s = draw(st.integers(2, 5))
+    n = draw(st.integers(s + 1, 16))
+    m = draw(st.integers(n if draw(st.integers(0, 2)) else s + 1, 18))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n <= m and draw(st.integers(0, 2)):
+        A = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    else:
+        A = rng.standard_normal((m, n))
+        A /= np.linalg.norm(A, axis=0)
+    scale = draw(st.sampled_from(["unit", "global", "global", "per-atom", "subnormal-gram"]))
+    if scale == "global":
+        A *= 10.0 ** draw(st.floats(-60, 60))
+    elif scale == "per-atom":
+        A *= 10.0 ** rng.uniform(-60, 60, n)
+    elif scale == "subnormal-gram":  # products of entries near the underflow range
+        A *= 10.0 ** draw(st.floats(-160, -150))
+    defect = draw(st.sampled_from(["none", "zero", "duplicate", "near-duplicate"]))
+    if defect == "zero":
+        A[:, rng.integers(n)] = 0.0
+    elif defect == "duplicate":
+        A[:, 1] = A[:, 0]
+    elif defect == "near-duplicate":
+        A[:, 1] = A[:, 0] + 1e-4 * A[:, 1]
+    kinds = draw(st.lists(st.sampled_from(["random", "exact", "tail", "zero", "nan", "inf"]),
+                          min_size=1, max_size=8))
+    size = 10.0 ** draw(st.floats(-3, 3) | st.floats(-165, -140))  # squares may underflow
+    Y = rng.standard_normal((m, len(kinds))) * size
+    atoms = np.zeros(len(kinds), dtype=int)  # the atoms of a signal's exact part
+    for i, kind in enumerate(kinds):
+        k = atoms[i] = int(rng.integers(1, s + (kind == "exact")))
+        sup = rng.choice(n, k + 1, replace=False)
+        coef = rng.uniform(0.5, 1.5, k + 1) * rng.choice([-1.0, 1.0], k + 1) * size
+        coef[k] *= 10.0 ** rng.uniform(-9, -1) if kind == "tail" else 0.0
+        if kind in ("exact", "tail"):
+            Y[:, i] = A[:, sup] @ coef
+        elif kind != "random":
+            Y[:, i] = {"zero": 0.0, "nan": np.nan, "inf": -np.inf}[kind]
+    tol = draw(st.sampled_from(["zero", "norm", "norm", "random"]))
+    residual_tol = 0.0
+    if tol == "random":
+        residual_tol = 10.0 ** draw(st.floats(-12, 2))
+    elif tol == "norm":
+        # the norm of column i's residual after as many atoms as its exact
+        # part; a residual along one atom brings c* closest to nu * tol
+        tails = [j for j, kind in enumerate(kinds) if kind == "tail"] or range(len(kinds))
+        i = draw(st.sampled_from(tails))
+        try:
+            with np.errstate(all="ignore"):
+                sup, val, _ = _exact_exit_batch(A, Y, CodingConfig(int(min(atoms[i], s - 1))))
+                r = _weighted_rows(np.ascontiguousarray(Y.T), A.T, sup, val)[i]
+                norm = np.sqrt((r * r).sum())
+        except CodingError:
+            norm = np.nan
+        if np.isfinite(norm):
+            toward = draw(st.sampled_from([norm, np.inf, 0.0]))
+            residual_tol = max(float(np.nextafter(norm, toward)), 0.0)
+    return A, Y, CodingConfig(s, residual_tol)
+
+
+@settings(max_examples=600, deadline=None)
+@given(exit_instances())
+def test_exit_bound_keeps_the_exact_exit(instance):
+    A, Y, cfg = instance
+    D = Dictionary(A)
+
+    def coded():
+        X = batch_code(D, Y, cfg)
+        return X.supports, X.values, X.nnz
+
+    assert _outcome(coded) == _outcome(lambda: _exact_exit_batch(A, Y, cfg))
+    for i in range(Y.shape[1]):
+        y = np.ascontiguousarray(Y[:, i])
+
+        def single():
+            code = omp(D, y, cfg)
+            return code.support, code.values, code.nnz
+
+        assert _outcome(single) == _outcome(lambda: _exact_exit_omp(A, y, cfg))
 
 
 @settings(max_examples=60, deadline=None)
