@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .dictionary_learning import DLConfig, train
+from .evaluation import confusion
 from .sparse_coding import (
     CodingConfig,
     Dictionary,
@@ -44,10 +45,8 @@ class FilterTrace:
     def append(self, iteration, active, truth, mean_err, n_total):
         fp = fn = None
         if truth is not None:
-            est = np.zeros(n_total, dtype=int)
-            est[active] = 1
-            fp = int(np.sum((est == 1) & (truth == 0)))
-            fn = int(np.sum((est == 0) & (truth == 1)))
+            rep = confusion(truth, _labels(active, n_total))
+            fp, fn = rep.fp, rep.fn
         self.records.append(TraceRecord(iteration, int(active.size), fp, fn, float(mean_err)))
 
     def to_csv(self, path):
@@ -90,9 +89,23 @@ class PopularityConfig:
             raise DataError("max_iterations must be >= 1")
 
 
-def _stage_seed(base_seed: int, iteration: int) -> int:
-    # deterministic per-stage seed derived from (base seed, iteration index)
-    return int(np.random.SeedSequence([base_seed, iteration]).generate_state(1)[0])
+def _checked_truth(truth, N: int):
+    truth = None if truth is None else np.asarray(truth, dtype=int)
+    if truth is not None and truth.shape != (N,):
+        raise DataError("ground-truth labels must have one entry per sample")
+    return truth
+
+
+def _train_stage(Y: np.ndarray, per_stage: DLConfig, iteration: int) -> Dictionary:
+    # seeded deterministically from (per_stage.seed, iteration)
+    seed = int(np.random.SeedSequence([per_stage.seed, iteration]).generate_state(1)[0])
+    return train(Y, replace(per_stage, seed=seed)).dictionary
+
+
+def _labels(active: np.ndarray, N: int) -> np.ndarray:
+    labels = np.zeros(N, dtype=int)
+    labels[active] = 1
+    return labels
 
 
 def addl_run(Y: np.ndarray, cfg: ADDLConfig, truth=None):
@@ -105,10 +118,7 @@ def addl_run(Y: np.ndarray, cfg: ADDLConfig, truth=None):
     strictly above it. Returns ({0,1} labels, trace)."""
     Y = np.asarray(Y, dtype=float)
     N = Y.shape[1]
-    if truth is not None:
-        truth = np.asarray(truth, dtype=int)
-        if truth.shape != (N,):
-            raise DataError("ground-truth labels must have one entry per sample")
+    truth = _checked_truth(truth, N)
     active = np.arange(N)
     acc_atoms = None
     e_mean = None
@@ -116,13 +126,8 @@ def addl_run(Y: np.ndarray, cfg: ADDLConfig, truth=None):
     for it in range(cfg.global_iterations):
         if active.size == 0:
             break
-        stage_cfg = replace(cfg.per_stage, seed=_stage_seed(cfg.per_stage.seed, it))
-        stage = train(Y[:, active], stage_cfg)
-        acc_atoms = (
-            stage.dictionary.atoms
-            if acc_atoms is None
-            else np.hstack([acc_atoms, stage.dictionary.atoms])
-        )
+        stage = _train_stage(Y[:, active], cfg.per_stage, it).atoms
+        acc_atoms = stage if acc_atoms is None else np.hstack([acc_atoms, stage])
         D = Dictionary(acc_atoms)
         X = batch_code(D, Y, cfg.coding)
         e = representation_errors(D, Y, X)
@@ -130,9 +135,7 @@ def addl_run(Y: np.ndarray, cfg: ADDLConfig, truth=None):
             e_mean = float(np.mean(e))
         active = np.flatnonzero(e > e_mean)
         trace.append(it + 1, active, truth, np.mean(e), N)
-    labels = np.zeros(N, dtype=int)
-    labels[active] = 1
-    return labels, trace
+    return _labels(active, N), trace
 
 
 def popularity_filter_run(Y: np.ndarray, cfg: PopularityConfig, truth=None):
@@ -149,24 +152,18 @@ def popularity_filter_run(Y: np.ndarray, cfg: PopularityConfig, truth=None):
         raise DataError(f"n_anomalies {cfg.n_anomalies} must be < sample count {N}")
     if cfg.coding.s > cfg.per_stage.n_atoms:
         raise DataError("coding sparsity exceeds the stage dictionary size")
-    if truth is not None:
-        truth = np.asarray(truth, dtype=int)
-        if truth.shape != (N,):
-            raise DataError("ground-truth labels must have one entry per sample")
+    truth = _checked_truth(truth, N)
     active = np.arange(N)
     trace = FilterTrace()
     for it in range(cfg.max_iterations):
         size_before = active.size
-        stage_cfg = replace(cfg.per_stage, seed=_stage_seed(cfg.per_stage.seed, it))
-        stage = train(Y[:, active], stage_cfg)
-        X = batch_code(stage.dictionary, Y[:, active], cfg.coding)
-        errs = representation_errors(stage.dictionary, Y[:, active], X)
+        D = _train_stage(Y[:, active], cfg.per_stage, it)
+        X = batch_code(D, Y[:, active], cfg.coding)
+        errs = representation_errors(D, Y[:, active], X)
         p = atom_popularity(X)
         marked = (p > cfg.n_anomalies) if cfg.literal_set_builder else (p <= cfg.n_anomalies)
         active = active[np.any(marked[X.supports] & X.occupied(), axis=1)]
         trace.append(it + 1, active, truth, float(np.mean(errs)), N)
         if active.size <= cfg.n_anomalies or active.size == size_before:
             break
-    labels = np.zeros(N, dtype=int)
-    labels[active] = 1
-    return labels, trace
+    return _labels(active, N), trace

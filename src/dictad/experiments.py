@@ -136,8 +136,12 @@ def resolve_params(method: str, params: dict) -> dict:
         out["synth"] = synth
     elif out["dataset"] is None:
         raise ConfigError("no dataset: provide 'dataset' (CSV path) or 'synth' parameters")
-    if method not in ("synth", "eval") and out["stage_atoms"] < out["sparsity"]:
+    if method in ("addl", "popularity") and out["stage_atoms"] < out["sparsity"]:
         raise ConfigError(f"stage_atoms {out['stage_atoms']} < sparsity {out['sparsity']}")
+    # the pretrained dictionary has 2 classes (normal, anomaly) x atoms_per_class atoms
+    if method in SUPERVISED and 2 * out["atoms_per_class"] < out["sparsity"]:
+        raise ConfigError(f"2 x atoms_per_class {out['atoms_per_class']} "
+                          f"< sparsity {out['sparsity']}")
     if method == "toddler" and out["lambda_policy"] == "fixed" and None in (
             out["lambda1"], out["lambda2"]):
         raise ConfigError("lambda_policy fixed needs lambda1 and lambda2")
@@ -180,17 +184,17 @@ def _lambda_policy(params):
     return GRAM_NORM if params["lambda_policy"] == "gram-norm" else MODEL_NORMS
 
 
-def _pretrain_model(ds: Dataset, params: dict):
-    if ds.labels is None:
-        raise DataError("pretraining needs labels")
+def _pretrain_model(Y, labels, params: dict):
     cfg = PretrainConfig(params["alpha"], params["beta"], params["atoms_per_class"],
-                         _stage_dl(params))
-    return pretrain(ds.Y, ds.labels, cfg)
+                         params["dl_iterations"], _coding(params), params["seed"])
+    return pretrain(Y, labels, cfg)
 
 
 def run_pretrain(params: dict, out_dir: Path) -> dict:
     ds = _load_dataset(params)
-    model = _pretrain_model(ds, params)
+    if ds.labels is None:
+        raise DataError("pretraining needs labels")
+    model = _pretrain_model(ds.Y, ds.labels, params)
     coding = _coding(params)
     codes = batch_code(model.D, ds.Y, coding)
     preds = [classify(model.W, x)[0] for x in codes.columns]
@@ -213,8 +217,7 @@ def run_toddler(params: dict, out_dir: Path) -> dict:
     if stream_idx.size == 0:
         raise DataError("nothing left to stream after the pretraining split")
 
-    model = _pretrain_model(Dataset(ds.Y[:, pre_idx], ds.labels[pre_idx], ds.feature_names),
-                            params)
+    model = _pretrain_model(ds.Y[:, pre_idx], ds.labels[pre_idx], params)
     coding = _coding(params)
     warm_X = batch_code(model.D, ds.Y[:, pre_idx], coding)
     state = init_state(model, ds.Y[:, pre_idx], warm_X, phi=params["phi"],

@@ -87,11 +87,11 @@ def spectral_norm(M: np.ndarray) -> float:
     LAPACK sees them: given inf, LAPACK prints a DLASCL error to stderr and
     returns NaN."""
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2:  # the gufunc would take a stack and return one row per matrix
+        raise NumericalError(f"spectral norm: {M.ndim}-dimensional array given, "
+                             "a matrix is needed")
     if M.size == 0:
         return 0.0
-    if M.ndim < 2:
-        raise NumericalError(f"spectral norm: {M.ndim}-dimensional array given. "
-                             "Array must be at least two-dimensional")
     if not np.isfinite(M).all():
         raise NumericalError("spectral norm of a matrix with non-finite entries")
     with np.errstate(call=_svd_nonconvergence, invalid="call", over="ignore",

@@ -10,28 +10,16 @@ meets the unit-atom constraint, pushing the scale into W and A.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .dictionary_learning import DLConfig, train
-from .sparse_coding import Dictionary, SparseCode
+from .sparse_coding import CodingConfig, Dictionary, SparseCode
 
 # the layout of model.npz and of the online checkpoint, which extends it
 MODEL_FORMAT_VERSION = 1
-
-
-@dataclass
-class LabelIndicator:
-    H: np.ndarray  # c x N, one-hot columns
-    c: int
-
-
-@dataclass
-class AtomAllocation:
-    Q: np.ndarray  # n x N binary
-    class_of_atom: np.ndarray  # length n
 
 
 @dataclass
@@ -51,7 +39,9 @@ class PretrainConfig:
     alpha: float
     beta: float
     atoms_per_class: int
-    dl: DLConfig
+    iterations: int  # AK-SVD iterations on the stacked problem
+    coding: CodingConfig
+    seed: int = 0
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -61,8 +51,9 @@ class PretrainConfig:
 
 
 def build_indicators(labels: np.ndarray, c: int, atoms_per_class: int):
-    """One-hot label matrix H and block atom allocation Q: atoms are assigned
-    to classes in contiguous blocks of atoms_per_class."""
+    """One-hot label matrix H (c x N), binary atom allocation Q (n x N) and
+    the class of each of the n = c * atoms_per_class atoms: atoms are
+    assigned to classes in contiguous blocks of atoms_per_class."""
     labels = np.asarray(labels, dtype=int)
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise DataError(f"label out of range [0, {c})")
@@ -71,7 +62,7 @@ def build_indicators(labels: np.ndarray, c: int, atoms_per_class: int):
     H[labels, np.arange(N)] = 1.0
     class_of_atom = np.repeat(np.arange(c), atoms_per_class)
     Q = (class_of_atom[:, None] == labels[None, :]).astype(float)
-    return LabelIndicator(H, c), AtomAllocation(Q, class_of_atom)
+    return H, Q, class_of_atom
 
 
 def stack_training(Y, H, Q, alpha: float, beta: float) -> np.ndarray:
@@ -83,7 +74,8 @@ def stack_training(Y, H, Q, alpha: float, beta: float) -> np.ndarray:
 
 
 def pretrain(Y: np.ndarray, labels: np.ndarray, cfg: PretrainConfig) -> DiscriminativeModel:
-    """Train the stacked problem and split the result into (D, W, A)."""
+    """Train the stacked problem with c * atoms_per_class atoms and split the
+    result into (D, W, A)."""
     Y = np.asarray(Y, dtype=float)
     labels = np.asarray(labels, dtype=int)
     c = int(labels.max()) + 1 if labels.size else 0
@@ -94,9 +86,9 @@ def pretrain(Y: np.ndarray, labels: np.ndarray, cfg: PretrainConfig) -> Discrimi
     if Y.shape[1] < n:
         raise DataError(f"need at least {n} samples for {n} atoms, got {Y.shape[1]}")
 
-    ind, alloc = build_indicators(labels, c, cfg.atoms_per_class)
-    stacked = stack_training(Y, ind.H, alloc.Q, cfg.alpha, cfg.beta)
-    result = train(stacked, replace(cfg.dl, n_atoms=n))
+    H, Q, class_of_atom = build_indicators(labels, c, cfg.atoms_per_class)
+    stacked = stack_training(Y, H, Q, cfg.alpha, cfg.beta)
+    result = train(stacked, DLConfig(n, cfg.iterations, cfg.coding, cfg.seed))
 
     m = Y.shape[0]
     S = result.dictionary.atoms
@@ -107,7 +99,7 @@ def pretrain(Y: np.ndarray, labels: np.ndarray, cfg: PretrainConfig) -> Discrimi
     D = Dhat / norms
     W = What / (np.sqrt(cfg.alpha) * norms) if cfg.alpha > 0 else np.zeros_like(What)
     A = Ahat / (np.sqrt(cfg.beta) * norms) if cfg.beta > 0 else np.zeros_like(Ahat)
-    return DiscriminativeModel(Dictionary(D), W, A, alloc.class_of_atom)
+    return DiscriminativeModel(Dictionary(D), W, A, class_of_atom)
 
 
 def classify(W: np.ndarray, x: SparseCode):

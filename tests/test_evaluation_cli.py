@@ -150,6 +150,25 @@ def test_cli_toddler_separable_toy(tmp_path):
     assert len(lines) == stream["n"] + 1
 
 
+@pytest.mark.parametrize("verb, artifact", [("pretrain", "model.npz"),
+                                             ("toddler", "checkpoint.npz")])
+def test_cli_supervised_verbs_do_not_read_stage_atoms(tmp_path, verb, artifact):
+    # stage_atoms 2 < sparsity 3 <= 2 x atoms_per_class: the pretrained
+    # dictionary has 8 atoms whatever stage_atoms says
+    arrays = []
+    for stage_atoms in ("2", "8"):
+        out = tmp_path / f"{verb}-{stage_atoms}"
+        argv = [verb, "--config", str(_toy_config(tmp_path)), "--out", str(out),
+                "--stage-atoms", stage_atoms]
+        assert main(argv) == 0
+        with np.load(out / artifact) as z:
+            arrays.append({k: z[k] for k in z.files})
+        assert arrays[-1]["D"].shape == (16, 8)
+    assert arrays[0].keys() == arrays[1].keys()
+    for key in arrays[0]:
+        assert np.array_equal(arrays[0][key], arrays[1][key])
+
+
 def test_cli_eval_verb(tmp_path):
     data_dir = tmp_path / "data"
     assert main(_synth_flags(data_dir)) == 0
@@ -352,6 +371,8 @@ _SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
     ("synth", None, _SYNTH_ARGS + ["--noise-sigma", "0", "--normal-atoms", "10001"]),
     ("synth", {"synth": {**_SYNTH_SECTION, "anomaly_atoms": 10_001, "disjoint_support": False}},
      []),
+    ("pretrain", None, ["--sparsity", "5", "--atoms-per-class", "2"]),
+    ("toddler", None, ["--sparsity", "5", "--atoms-per-class", "2"]),
 ], ids=["string-int", "misspelled-key", "string-bool", "fractional-int", "bool-int",
         "nan-float", "non-object", "synth-missing-field", "synth-unknown-field",
         "synth-unknown-field-addl", "more-anomalies-than-normals", "sparsity-0",
@@ -359,7 +380,8 @@ _SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
         "n-anomalies-0", "phi-above-1", "negative-alpha", "atoms-per-class-0",
         "negative-subsample-ratio", "fixed-lambdas-missing", "negative-lambda",
         "flag-not-an-int", "flag-not-a-choice", "model-norms-zero-alpha",
-        "model-norms-zero-beta", "synth-atoms-above-limit", "synth-object-atoms-above-limit"])
+        "model-norms-zero-beta", "synth-atoms-above-limit", "synth-object-atoms-above-limit",
+        "pretrain-atoms-below-sparsity", "toddler-atoms-below-sparsity"])
 def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
     argv = [verb, "--out", str(tmp_path / "o"), "--dataset", str(tmp_path / "missing.csv")]
     if config is not None:

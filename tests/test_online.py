@@ -402,6 +402,8 @@ def test_spectral_norm_keeps_the_error_state_and_warns_nothing(capfd, monkeypatc
                 spectral_norm(M)
         with pytest.raises(NumericalError, match="1-dimensional"):
             spectral_norm(np.ones(3))
+        with pytest.raises(NumericalError, match="3-dimensional"):
+            spectral_norm(np.ones((2, 2, 2)))
         # LAPACK's non-convergence reaches numpy as the invalid flag
         monkeypatch.setattr(online, "_svd", lambda M, signature: np.full(1, np.inf) - np.inf)
         with pytest.raises(NumericalError, match="^spectral norm: SVD did not converge$"):

@@ -22,23 +22,23 @@ from dictad.supervised import MODEL_FORMAT_VERSION
 
 
 def test_indicator_example():
-    ind, alloc = build_indicators(np.array([0, 1, 0]), c=2, atoms_per_class=1)
-    assert np.array_equal(ind.H, [[1, 0, 1], [0, 1, 0]])
-    assert np.array_equal(alloc.Q, [[1, 0, 1], [0, 1, 0]])
-    assert list(alloc.class_of_atom) == [0, 1]
+    H, Q, class_of_atom = build_indicators(np.array([0, 1, 0]), c=2, atoms_per_class=1)
+    assert np.array_equal(H, [[1, 0, 1], [0, 1, 0]])
+    assert np.array_equal(Q, [[1, 0, 1], [0, 1, 0]])
+    assert list(class_of_atom) == [0, 1]
 
 
 def test_indicator_single_class():
-    ind, _ = build_indicators(np.zeros(5, dtype=int), c=2, atoms_per_class=2)
-    assert np.array_equal(ind.H[0], np.ones(5))
-    assert np.array_equal(ind.H[1], np.zeros(5))
+    H, _, _ = build_indicators(np.zeros(5, dtype=int), c=2, atoms_per_class=2)
+    assert np.array_equal(H[0], np.ones(5))
+    assert np.array_equal(H[1], np.zeros(5))
 
 
 def test_indicator_column_sums():
     labels = np.random.default_rng(0).integers(0, 3, 40)
-    ind, alloc = build_indicators(labels, c=3, atoms_per_class=2)
-    assert np.array_equal(ind.H.sum(axis=0), np.ones(40))
-    assert np.array_equal(alloc.Q.sum(axis=0), np.full(40, 2))
+    H, Q, _ = build_indicators(labels, c=3, atoms_per_class=2)
+    assert np.array_equal(H.sum(axis=0), np.ones(40))
+    assert np.array_equal(Q.sum(axis=0), np.full(40, 2))
 
 
 def test_indicator_label_out_of_range():
@@ -49,15 +49,15 @@ def test_indicator_label_out_of_range():
 def test_stacking_weights():
     rng = np.random.default_rng(1)
     Y = rng.standard_normal((4, 6))
-    ind, alloc = build_indicators(rng.integers(0, 2, 6), c=2, atoms_per_class=2)
-    S0 = stack_training(Y, ind.H, alloc.Q, 0.0, 0.0)
+    H, Q, _ = build_indicators(rng.integers(0, 2, 6), c=2, atoms_per_class=2)
+    S0 = stack_training(Y, H, Q, 0.0, 0.0)
     assert np.array_equal(S0[:4], Y)
     assert np.all(S0[4:] == 0)
-    S1 = stack_training(Y, ind.H, alloc.Q, 1.0, 1.0)
-    assert np.array_equal(S1[4:6], ind.H)
-    assert np.array_equal(S1[6:], alloc.Q)
-    S4 = stack_training(Y, ind.H, alloc.Q, 4.0, 1.0)
-    assert np.array_equal(S4[4:6], 2.0 * ind.H)
+    S1 = stack_training(Y, H, Q, 1.0, 1.0)
+    assert np.array_equal(S1[4:6], H)
+    assert np.array_equal(S1[6:], Q)
+    S4 = stack_training(Y, H, Q, 4.0, 1.0)
+    assert np.array_equal(S4[4:6], 2.0 * H)
 
 
 def _toy_dataset(seed=5):
@@ -67,7 +67,7 @@ def _toy_dataset(seed=5):
 
 
 def _toy_config():
-    return PretrainConfig(1.0, 1.0, 4, DLConfig(8, 15, CodingConfig(3), seed=3))
+    return PretrainConfig(1.0, 1.0, 4, 15, CodingConfig(3), seed=3)
 
 
 def test_pretrain_recovers_separable_labels():
@@ -80,7 +80,7 @@ def test_pretrain_recovers_separable_labels():
 
 def test_pretrain_zero_weights_degenerate_to_plain_training():
     ds = _toy_dataset()
-    cfg = PretrainConfig(0.0, 0.0, 4, DLConfig(8, 5, CodingConfig(3), seed=3))
+    cfg = PretrainConfig(0.0, 0.0, 4, 5, CodingConfig(3), seed=3)
     model = pretrain(ds.Y, ds.labels, cfg)
     assert np.all(model.W == 0)
     assert np.all(model.A == 0)
@@ -90,13 +90,12 @@ def test_pretrain_zero_weights_degenerate_to_plain_training():
 
 def test_pretrain_renormalization_round_trip():
     ds = _toy_dataset()
-    cfg = PretrainConfig(2.0, 3.0, 4, DLConfig(8, 5, CodingConfig(3), seed=3))
+    cfg = PretrainConfig(2.0, 3.0, 4, 5, CodingConfig(3), seed=3)
     from dictad.supervised import build_indicators as bi, stack_training as st
-    from dataclasses import replace
 
-    ind, alloc = bi(ds.labels, 2, 4)
-    stacked = st(ds.Y, ind.H, alloc.Q, 2.0, 3.0)
-    learned = train(stacked, replace(cfg.dl, n_atoms=8)).dictionary.atoms
+    H, Q, _ = bi(ds.labels, 2, 4)
+    stacked = st(ds.Y, H, Q, 2.0, 3.0)
+    learned = train(stacked, DLConfig(8, 5, CodingConfig(3), seed=3)).dictionary.atoms
     model = pretrain(ds.Y, ds.labels, cfg)
     norms = np.linalg.norm(learned[:16], axis=0)
     rebuilt = np.vstack([
