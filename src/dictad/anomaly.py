@@ -54,13 +54,7 @@ class FilterTrace:
             w = csv.writer(f)
             w.writerow(["iter", "card_A", "fp", "fn", "mean_err"])
             for r in self.records:
-                w.writerow([
-                    r.iteration,
-                    r.card,
-                    "" if r.fp is None else r.fp,
-                    "" if r.fn is None else r.fn,
-                    repr(r.mean_err),
-                ])
+                w.writerow([r.iteration, r.card, r.fp, r.fn, repr(r.mean_err)])
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,7 @@ def atom_update_pass(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix):
         xnew = E @ A[:, j]
         values[used, at] = xnew
         R[used] = E - np.outer(xnew, A[:, j])
-    return Dictionary(A), SparseCodeMatrix.from_arrays(X.supports, values, X.nnz, X.dim)
+    return Dictionary(A), SparseCodeMatrix(X.supports, values, X.nnz, X.dim)
 
 
 def _replace_dead_atoms(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> Dictionary:
@@ -148,7 +148,7 @@ def train(Y: np.ndarray, cfg: DLConfig) -> DLResult:
         X_new = batch_code(D, Y, cfg.coding)
         if X is not None:
             new = representation_errors(D, Y, X_new) <= representation_errors(D, Y, X)
-            X = SparseCodeMatrix.from_arrays(
+            X = SparseCodeMatrix(
                 np.where(new[:, None], X_new.supports, X.supports),
                 np.where(new[:, None], X_new.values, X.values),
                 np.where(new, X_new.nnz, X.nnz),

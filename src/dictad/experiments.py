@@ -35,7 +35,7 @@ from .online import (
     toddler_step,
 )
 from .sparse_coding import CodingConfig, batch_code
-from .supervised import PretrainConfig, classify, pretrain, save_model
+from .supervised import PretrainConfig, pretrain, save_model
 
 # One row per parameter: config key and --flag name, type, range "[lo, hi)"
 # or choices, default, the verbs that take it (as a flag, and with the
@@ -56,7 +56,8 @@ PARAMS = (
     Param("sparsity", int, "[1, inf)", 5, ALL, "OMP sparsity s"),
     Param("residual_tol", float, "[0, inf)", 0.0, ALL, "OMP residual early-exit norm"),
     Param("dl_iterations", int, "[1, inf)", 20, ALL, "AK-SVD iterations per training"),
-    Param("stage_atoms", int, "[1, inf)", 16, ALL, "atoms per training stage, >= sparsity"),
+    Param("stage_atoms", int, "[1, inf)", 16, ALL,
+          "atoms per training stage of addl and popularity, >= sparsity"),
     Param("alpha", float, "[0, inf)", 1.0, SUPERVISED, "classifier weight"),
     Param("beta", float, "[0, inf)", 1.0, SUPERVISED, "label-consistency weight"),
     Param("atoms_per_class", int, "[1, inf)", 8, SUPERVISED, "dictionary atoms per class"),
@@ -197,7 +198,7 @@ def run_pretrain(params: dict, out_dir: Path) -> dict:
     model = _pretrain_model(ds.Y, ds.labels, params)
     coding = _coding(params)
     codes = batch_code(model.D, ds.Y, coding)
-    preds = [classify(model.W, x)[0] for x in codes.columns]
+    preds = np.argmax(model.W @ codes.to_dense(), axis=0)  # classify on every code at once
     rep = confusion(ds.labels, preds)
     save_model(out_dir / "model.npz", model, coding.s)
     return {"train": rep.as_dict()}

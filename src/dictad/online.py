@@ -110,7 +110,8 @@ def init_state(
     warmup_X: SparseCodeMatrix,
     phi: float = 0.95,
     lambda_policy: LambdaPolicy = GRAM_NORM,
-    coding: CodingConfig | None = None,
+    *,
+    coding: CodingConfig,
 ) -> OnlineState:
     """Build the online state from pretraining codes: G = X X^T plus a small
     ridge (1e-8 times its mean diagonal) for conditioning, Ginv its exact
@@ -137,8 +138,6 @@ def init_state(
         raise NumericalError(
             f"warmup Gram matrix is ill-conditioned (cond ~ {np.linalg.cond(G):.3g})"
         )
-    if coding is None:
-        coding = CodingConfig(s=max(1, min(5, n)))
     model = DiscriminativeModel(Dictionary(model.D.atoms.copy()), model.W.copy(),
                                 model.A.copy(), model.class_of_atom.copy())
     return OnlineState(model, G, Ginv, phi, lambda_policy, warmup_X.n_columns, coding)

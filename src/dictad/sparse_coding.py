@@ -87,25 +87,9 @@ class SparseCodeMatrix:
     with coefficients values[i, :nnz[i]]. The padding slots after nnz[i] hold
     atom 0 with value 0, so a sum over all slots needs no mask."""
 
-    def __init__(self, columns: list[SparseCode]):
-        dims = {c.dim for c in columns}
-        if len(dims) > 1:
-            raise CodingError(f"inconsistent code dimensions: {sorted(dims)}")
-        width = max((c.nnz for c in columns), default=0)
-        self.supports = np.zeros((len(columns), width), dtype=int)
-        self.values = np.zeros((len(columns), width))
-        for i, c in enumerate(columns):
-            self.supports[i, :c.nnz] = c.support
-            self.values[i, :c.nnz] = c.values
-        self.nnz = np.array([c.nnz for c in columns], dtype=int)
-        self.dim = dims.pop() if dims else 0
-
-    @classmethod
-    def from_arrays(cls, supports, values, nnz, dim: int) -> "SparseCodeMatrix":
+    def __init__(self, supports: np.ndarray, values: np.ndarray, nnz: np.ndarray, dim: int):
         """Wrap padded (supports, values, nnz) arrays without copying."""
-        X = object.__new__(cls)
-        X.supports, X.values, X.nnz, X.dim = supports, values, nnz, dim
-        return X
+        self.supports, self.values, self.nnz, self.dim = supports, values, nnz, dim
 
     @property
     def n_columns(self) -> int:
@@ -130,8 +114,16 @@ class SparseCodeMatrix:
 
     @classmethod
     def from_dense(cls, X: np.ndarray) -> "SparseCodeMatrix":
+        """The codes of the columns of X: each column's nonzero atoms in
+        ascending order."""
         X = np.asarray(X, dtype=float)
-        return cls([SparseCode(np.flatnonzero(x), x[x != 0], X.shape[0]) for x in X.T])
+        col, atom = np.nonzero(X.T)
+        nnz = np.bincount(col, minlength=X.shape[1])
+        slot = np.arange(col.size) - (np.cumsum(nnz) - nnz)[col]
+        supports = np.zeros((nnz.size, nnz.max(initial=0)), dtype=int)
+        values = np.zeros(supports.shape)
+        supports[col, slot], values[col, slot] = atom, X[atom, col]
+        return cls(supports, values, nnz, X.shape[0])
 
 
 @dataclass(frozen=True)
@@ -328,7 +320,7 @@ def batch_code(D: Dictionary, Y: np.ndarray, cfg: CodingConfig) -> SparseCodeMat
     for lo in range(0, N, _CHUNK):
         c = slice(lo, lo + _CHUNK)
         _lockstep(A, G, Y[:, c], cfg, lo, supports[c], values[c], nnz[c])
-    return SparseCodeMatrix.from_arrays(supports, values, nnz, A.shape[1])
+    return SparseCodeMatrix(supports, values, nnz, A.shape[1])
 
 
 def residuals(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> np.ndarray:

@@ -105,7 +105,7 @@ def pretrain(Y: np.ndarray, labels: np.ndarray, cfg: PretrainConfig) -> Discrimi
 def classify(W: np.ndarray, x: SparseCode):
     """Linear classification of a sparse code: scores = W x, argmax with
     ties broken toward the lowest class id."""
-    scores = W[:, x.support] @ x.values if x.nnz else np.zeros(W.shape[0])
+    scores = W[:, x.support] @ x.values
     return int(np.argmax(scores)), scores
 
 

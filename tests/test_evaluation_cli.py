@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from dictad import ConfusionReport, DataError, confusion, run_experiment
+from dictad.anomaly import ADDLConfig, addl_run
 from dictad.cli import main
-from dictad.data_io import ULB_FEATURES
+from dictad.data_io import ULB_FEATURES, load_csv, normalize, subsample
+from dictad.dictionary_learning import DLConfig
+from dictad.sparse_coding import CodingConfig
 
 
 def test_confusion_all_correct():
@@ -85,6 +88,28 @@ def test_cli_addl_on_synth_dataset(tmp_path):
     result = json.loads((out / "result.json").read_text())
     assert result["metrics"]["n_flagged"] == sum(labels)
     assert "confusion" in result["metrics"]
+
+
+def test_cli_addl_normalize_subsample_matches_library(tmp_path):
+    # the CLI z-scores the loaded table, then keeps 2 normals per anomaly
+    data_dir = tmp_path / "data"
+    assert main(_synth_flags(data_dir) + ["--n-normal", "60"]) == 0
+    data = data_dir / "dataset.csv"
+    out = tmp_path / "addl"
+    rc = main([
+        "addl", "--out", str(out), "--dataset", str(data),
+        "--schema", "generic", "--label-column", "Class",
+        "--normalize", "--subsample-ratio", "2",
+        "--sparsity", "2", "--stage-atoms", "4", "--dl-iterations", "5",
+        "--global-iterations", "3", "--seed", "2",
+    ])
+    assert rc == 0
+    labels = [int(v) for v in (out / "labels.txt").read_text().split()]
+    assert len(labels) == 24
+    ds = subsample(normalize(load_csv(data, schema="generic", label_column="Class")), 2, 2)
+    cfg = ADDLConfig(3, DLConfig(4, 5, CodingConfig(2), seed=2), CodingConfig(2))
+    expected, _ = addl_run(ds.Y, cfg, truth=ds.labels)
+    assert labels == [int(v) for v in expected]
 
 
 def test_cli_popularity_derives_anomaly_count(tmp_path):
@@ -394,6 +419,24 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb, csv_text, code, message", [
+    ("toddler", "a,Class\n1,0\n2,1\n", 3,
+     "data error: nothing left to stream after the pretraining split"),
+    ("toddler", "a,Class\n1,0\n2,0\n3,0\n4,0\n", 3,
+     "data error: pretraining split does not contain both classes"),
+    ("popularity", "a,b\n1,2\n3,4\n", 2,
+     "config error: n_anomalies is required when the dataset has no labels"),
+], ids=["toddler-nothing-to-stream", "toddler-one-class", "popularity-no-labels"])
+def test_cli_runner_errors(tmp_path, capsys, verb, csv_text, code, message):
+    data = tmp_path / "data.csv"
+    data.write_text(csv_text)
+    argv = [verb, "--out", str(tmp_path / "o"), "--dataset", str(data), "--schema", "generic"]
+    if "Class" in csv_text:
+        argv += ["--label-column", "Class"]
+    assert main(argv) == code
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("data_bytes, preds_bytes", [

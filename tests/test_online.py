@@ -63,7 +63,10 @@ def test_init_state_identity_warmup():
 def test_init_state_empty_warmup_rejected():
     D, _, _ = planted_instance(6, 4, 4, 2, seed=0)
     with pytest.raises(DataError):
-        init_state(_model(D), np.zeros((6, 0)), SparseCodeMatrix([]), phi=1.0)
+        init_state(_model(D), np.zeros((6, 0)),
+                   SparseCodeMatrix(np.zeros((0, 0), dtype=int), np.zeros((0, 0)),
+                                    np.zeros(0, dtype=int), 0),
+                   phi=1.0, coding=CodingConfig(2))
 
 
 def test_init_state_inverse_accuracy():

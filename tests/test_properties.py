@@ -108,7 +108,8 @@ def test_code_statistics_match_dense_oracles(instance, seed):
     for _ in range(Y.shape[1]):
         k = int(rng.integers(0, cfg.s + 1))
         cols.append(SparseCode(rng.choice(D.n, k, replace=False), rng.standard_normal(k), D.n))
-    for X in (SparseCodeMatrix(cols), batch_code(D, Y, cfg)):
+    for X in (SparseCodeMatrix.from_dense(np.column_stack([c.to_dense() for c in cols])),
+              batch_code(D, Y, cfg)):
         dense = X.to_dense()
         assert np.array_equal(SparseCodeMatrix.from_dense(dense).to_dense(), dense)
         brute = [sum(j in c.support.tolist() for c in X.columns) for j in range(D.n)]
