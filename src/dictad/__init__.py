@@ -22,12 +22,9 @@ from .supervised import (
     stack_training,
 )
 from .online import (
-    GRAM_NORM,
-    MODEL_NORMS,
     LambdaPolicy,
     OnlineState,
     ToddlerOutcome,
-    fixed_lambdas,
     init_state,
     lambda_select,
     load_state,

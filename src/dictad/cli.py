@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .errors import ConfigError, DataError, NumericalError
 from .experiments import PARAMS, run_experiment
@@ -76,10 +77,16 @@ def _collect_params(args: argparse.Namespace) -> dict:
     return {**params, **flags} if isinstance(params, dict) else params
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        result = run_experiment(args.method, _collect_params(args), args.out)
+        with warnings.catch_warnings():  # restores showwarning; the filters stay as they are
+            warnings.showwarning = _show_warning
+            args = build_parser().parse_args(argv)
+            result = run_experiment(args.method, _collect_params(args), args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -125,6 +125,9 @@ def _read_csv(f, path, schema: str, label_column: str | None) -> Dataset:
         header = [h.strip().strip('"') for h in next(csv.reader(f))]
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
+    repeated = [h for k, h in enumerate(header) if h in header[:k]]
+    if repeated:
+        raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
     if schema == "ulb":
         features = ULB_FEATURES
         label_column = "Class"
@@ -312,11 +315,18 @@ def save_csv(dataset: Dataset, path):
 
 def normalize(dataset: Dataset) -> Dataset:
     """Feature-wise z-scoring: mean 0, sample standard deviation 1
-    (N-1 divisor). Constant features map to zeros with a warning."""
+    (N-1 divisor). Constant features map to zeros with a warning; a feature
+    whose standard deviation is not finite (its variance overflows) raises
+    DataError."""
     if dataset.n_samples < 2:
         raise DataError("normalization needs at least 2 samples")
-    mu = dataset.Y.mean(axis=1, keepdims=True)
-    sigma = dataset.Y.std(axis=1, ddof=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = dataset.Y.mean(axis=1, keepdims=True)
+        sigma = dataset.Y.std(axis=1, ddof=1, keepdims=True)
+    huge = np.flatnonzero(~np.isfinite(sigma.ravel()))
+    if huge.size:
+        raise DataError("standard deviation not finite (variance overflow) for features "
+                        f"{[dataset.feature_names[i] for i in huge]}")
     flat = np.flatnonzero(sigma.ravel() == 0.0)
     if flat.size:
         warnings.warn(

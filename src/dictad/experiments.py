@@ -26,14 +26,7 @@ from .anomaly import ADDLConfig, PopularityConfig, addl_run, popularity_filter_r
 from .data_io import Dataset, SynthConfig, load_csv, normalize, save_csv, subsample, synth_generate
 from .dictionary_learning import DLConfig
 from .evaluation import confusion
-from .online import (
-    GRAM_NORM,
-    MODEL_NORMS,
-    fixed_lambdas,
-    init_state,
-    save_state,
-    toddler_step,
-)
+from .online import LAMBDA_POLICIES, LambdaPolicy, init_state, save_state, toddler_step
 from .sparse_coding import CodingConfig, batch_code
 from .supervised import PretrainConfig, pretrain, save_model
 
@@ -62,7 +55,7 @@ PARAMS = (
     Param("beta", float, "[0, inf)", 1.0, SUPERVISED, "label-consistency weight"),
     Param("atoms_per_class", int, "[1, inf)", 8, SUPERVISED, "dictionary atoms per class"),
     Param("phi", float, "(0, 1]", 0.95, ("toddler",), "forgetting factor"),
-    Param("lambda_policy", str, ("gram-norm", "model-norms", "fixed"), "gram-norm",
+    Param("lambda_policy", str, LAMBDA_POLICIES, "gram-norm",
           ("toddler",), "regularization weights; fixed needs lambda1 and lambda2"),
     Param("lambda1", float, "(0, inf)", None, ("toddler",), "fixed classifier-update weight"),
     Param("lambda2", float, "(0, inf)", None, ("toddler",), "fixed label-map-update weight"),
@@ -179,12 +172,6 @@ def _stage_dl(params) -> DLConfig:
                     seed=params["seed"])
 
 
-def _lambda_policy(params):
-    if params["lambda_policy"] == "fixed":
-        return fixed_lambdas(params["lambda1"], params["lambda2"])
-    return GRAM_NORM if params["lambda_policy"] == "gram-norm" else MODEL_NORMS
-
-
 def _pretrain_model(Y, labels, params: dict):
     cfg = PretrainConfig(params["alpha"], params["beta"], params["atoms_per_class"],
                          params["dl_iterations"], _coding(params), params["seed"])
@@ -221,8 +208,10 @@ def run_toddler(params: dict, out_dir: Path) -> dict:
     model = _pretrain_model(ds.Y[:, pre_idx], ds.labels[pre_idx], params)
     coding = _coding(params)
     warm_X = batch_code(model.D, ds.Y[:, pre_idx], coding)
+    kind = params["lambda_policy"]  # only the fixed policy reads lambda1 and lambda2
+    lambdas = (params["lambda1"], params["lambda2"]) if kind == "fixed" else ()
     state = init_state(model, ds.Y[:, pre_idx], warm_X, phi=params["phi"],
-                       lambda_policy=_lambda_policy(params), coding=coding)
+                       lambda_policy=LambdaPolicy(kind, *lambdas), coding=coding)
 
     preds = np.empty(stream_idx.size, dtype=int)
     with open(out_dir / "predictions.csv", "w", newline="") as f:

@@ -32,27 +32,21 @@ from .supervised import DiscriminativeModel, classify, load_model_file, save_mod
 # this keeps ||Ginv G - I||_F far below 1e-6*n at any point.
 _RIDGE_EVERY = 100
 
+LAMBDA_POLICIES = ("gram-norm", "model-norms", "fixed")
+
 
 @dataclass(frozen=True)
 class LambdaPolicy:
     """Regularization-weight policy: spectral norm of G, spectral norms of
-    the current W and A, or fixed constants."""
+    the current W and A, or the fixed constants lambda1 and lambda2."""
 
-    kind: str  # "gram-norm" | "model-norms" | "fixed"
+    kind: str  # one of LAMBDA_POLICIES
     lambda1: float = 0.0
     lambda2: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("gram-norm", "model-norms", "fixed"):
+        if self.kind not in LAMBDA_POLICIES:
             raise DataError(f"unknown lambda policy {self.kind!r}")
-
-
-GRAM_NORM = LambdaPolicy("gram-norm")
-MODEL_NORMS = LambdaPolicy("model-norms")
-
-
-def fixed_lambdas(lambda1: float, lambda2: float) -> LambdaPolicy:
-    return LambdaPolicy("fixed", lambda1, lambda2)
 
 
 @dataclass
@@ -109,7 +103,7 @@ def init_state(
     warmup_Y: np.ndarray,
     warmup_X: SparseCodeMatrix,
     phi: float = 0.95,
-    lambda_policy: LambdaPolicy = GRAM_NORM,
+    lambda_policy: LambdaPolicy = LambdaPolicy("gram-norm"),
     *,
     coding: CodingConfig,
 ) -> OnlineState:
@@ -143,12 +137,13 @@ def init_state(
     return OnlineState(model, G, Ginv, phi, lambda_policy, warmup_X.n_columns, coding)
 
 
-def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> OnlineState:
+def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> float:
     """Rank-one recursive least-squares dictionary update with forgetting:
     D absorbs the new sample, G <- phi G + x x^T and Ginv follows by
     Sherman-Morrison. Every 100 updates the ridge removed by forgetting is
     added back to G and Ginv is recomputed exactly; a non-finite G, Ginv or
-    D at that point raises NumericalError."""
+    D at that point raises NumericalError. Updates state in place and
+    returns the a-priori error ||y - D x|| under the pre-update D."""
     xd = x.to_dense()
     u = (state.Ginv @ xd) / state.phi
     denom = 1.0 + float(xd @ u)
@@ -173,7 +168,7 @@ def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> OnlineState:
             raise NumericalError(
                 f"online state became non-finite after {state.samples_seen} samples"
             )
-    return state
+    return math.sqrt(r.dot(r))  # np.linalg.norm's arithmetic on a vector
 
 
 def lambda_select(state: OnlineState):
@@ -203,16 +198,12 @@ def toddler_step(state: OnlineState, y: np.ndarray):
     update D. Returns (state, outcome)."""
     x = omp(state.model.D, y, state.coding)
     pred, scores = classify(state.model.W, x)
-    c = state.model.n_classes
-    h_hat = np.zeros(c)
-    h_hat[pred] = 1.0
+    h_hat = (np.arange(state.model.n_classes) == pred).astype(float)
     q_hat = (state.model.class_of_atom == pred).astype(float)
     lam1, lam2 = lambda_select(state)
     state.model.W = tikhonov_update(state.model.W, h_hat, x, lam1)
     state.model.A = tikhonov_update(state.model.A, q_hat, x, lam2)
-    r = np.asarray(y, dtype=float) - state.model.D.atoms @ x.to_dense()
-    err = math.sqrt(r.dot(r))  # np.linalg.norm's arithmetic on a vector
-    rls_update(state, y, x)
+    err = rls_update(state, y, x)
     return state, ToddlerOutcome(pred, scores, x, lam1, lam2, err)
 
 

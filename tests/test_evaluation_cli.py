@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dictad import ConfusionReport, DataError, confusion, run_experiment
+from dictad import ConfusionReport, DataError, Dataset, confusion, run_experiment
 from dictad.anomaly import ADDLConfig, addl_run
 from dictad.cli import main
 from dictad.data_io import ULB_FEATURES, load_csv, normalize, subsample
@@ -175,6 +175,22 @@ def test_cli_toddler_separable_toy(tmp_path):
     assert len(lines) == stream["n"] + 1
 
 
+@pytest.mark.parametrize("flags, policy", [
+    ([], ("gram-norm", 0.0, 0.0)),
+    (["--lambda1", "3"], ("gram-norm", 0.0, 0.0)),
+    (["--lambda-policy", "model-norms"], ("model-norms", 0.0, 0.0)),
+    (["--lambda-policy", "fixed", "--lambda1", "0.5", "--lambda2", "2"], ("fixed", 0.5, 2.0)),
+], ids=["gram-norm", "gram-norm-unread-lambda1", "model-norms", "fixed"])
+def test_cli_toddler_checkpoint_records_policy(tmp_path, flags, policy):
+    # only the fixed policy reads lambda1 and lambda2; the others record 0.0
+    out = tmp_path / "tod"
+    assert main(["toddler", "--config", str(_toy_config(tmp_path)), "--out", str(out),
+                 "--pretrain-fraction", "0.3", *flags]) == 0
+    with np.load(out / "checkpoint.npz") as z:
+        recorded = (str(z["policy_kind"]), z["policy_lambda1"], z["policy_lambda2"])
+    assert recorded == policy
+
+
 @pytest.mark.parametrize("verb, artifact", [("pretrain", "model.npz"),
                                              ("toddler", "checkpoint.npz")])
 def test_cli_supervised_verbs_do_not_read_stage_atoms(tmp_path, verb, artifact):
@@ -298,7 +314,11 @@ _ULB_HEADER = ",".join(["Time", *ULB_FEATURES, "Class"])
     ("generic", "a,b,Class\n", "no data rows"),
     ("ulb", f"{_ULB_HEADER}\n" + ",".join(["0.5"] * 30) + ",0\nnoon," + ",".join(["0.5"] * 29)
      + ",1\n", "non-numeric cell 'noon' at row 3, column 'Time'"),
-], ids=["wide-row", "narrow-first-row", "hash-in-cell", "header-only", "ulb-time-text"])
+    ("generic", "a,a,Class\n1,2,0\n3,4,1\n", "column 'a' appears more than once in the header"),
+    ("ulb", ",".join(["Time", "V1", *ULB_FEATURES, "Class"]) + "\n" + ",".join(["0.5"] * 31)
+     + ",0\n", "column 'V1' appears more than once in the header"),
+], ids=["wide-row", "narrow-first-row", "hash-in-cell", "header-only", "ulb-time-text",
+        "repeated-column", "ulb-repeated-v1"])
 def test_cli_malformed_csv_exit_3(tmp_path, capsys, schema, csv_text, message):
     data, preds = tmp_path / "data.csv", tmp_path / "preds.txt"
     data.write_text(csv_text)
@@ -314,6 +334,35 @@ def test_cli_malformed_csv_exit_3(tmp_path, capsys, schema, csv_text, message):
     assert err.startswith("data error: ")
     assert err.count("\n") == 1
     assert message in err
+
+
+def test_normalize_variance_overflow_exit_3(tmp_path, capsys):
+    # (+-1e200)^2 overflows: the feature is refused, not silently zeroed
+    Y = np.vstack([np.tile([1e200, -1e200], 5), np.arange(10.0)])
+    with pytest.raises(DataError, match=r"for features \['a'\]"):
+        normalize(Dataset(Y, None, ["a", "b"]))
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,Class\n" + "".join(f"{a:g},{b:g},{k % 2}\n"
+                                            for k, (a, b) in enumerate(Y.T)))
+    rc = main(["addl", "--out", str(tmp_path / "o"), "--dataset", str(data),
+               "--schema", "generic", "--label-column", "Class", "--normalize"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_cli_prints_a_warning_as_one_line(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,Class\n" + "".join(f"{k * 0.7 % 3:g},5,{int(k % 5 == 0)}\n"
+                                            for k in range(20)))
+    rc = main(["addl", "--out", str(tmp_path / "o"), "--dataset", str(data),
+               "--schema", "generic", "--label-column", "Class", "--normalize",
+               "--sparsity", "1", "--stage-atoms", "2", "--dl-iterations", "1",
+               "--global-iterations", "1"])
+    assert rc == 0
+    assert capsys.readouterr().err == "warning: constant features mapped to zero: ['b']\n"
 
 
 def test_eval_prediction_lines(tmp_path, capsys):

@@ -9,10 +9,10 @@ from dictad import (
     DataError,
     Dictionary,
     DiscriminativeModel,
+    LambdaPolicy,
     NumericalError,
     SparseCode,
     SparseCodeMatrix,
-    fixed_lambdas,
     init_state,
     lambda_select,
     load_model,
@@ -23,8 +23,6 @@ from dictad import (
     spectral_norm,
     tikhonov_update,
     toddler_step,
-    GRAM_NORM,
-    MODEL_NORMS,
 )
 
 from dictad import online
@@ -157,17 +155,17 @@ def test_lambda_policies():
     model = _model(D)
     X = SparseCodeMatrix.from_dense(np.eye(6))
     st = init_state(model, D @ np.eye(6), X, phi=1.0,
-                    lambda_policy=GRAM_NORM, coding=CodingConfig(2))
+                    lambda_policy=LambdaPolicy("gram-norm"), coding=CodingConfig(2))
     l1, l2 = lambda_select(st)
     assert l1 == l2
     assert abs(l1 - spectral_norm(st.G)) < 1e-10
 
-    st.lambda_policy = MODEL_NORMS
+    st.lambda_policy = LambdaPolicy("model-norms")
     l1, l2 = lambda_select(st)
     assert abs(l1 - spectral_norm(model.W)) < 1e-10
     assert abs(l2 - spectral_norm(model.A)) < 1e-10
 
-    st.lambda_policy = fixed_lambdas(2.5, 0.5)
+    st.lambda_policy = LambdaPolicy("fixed", 2.5, 0.5)
     assert lambda_select(st) == (2.5, 0.5)
 
 
@@ -223,7 +221,7 @@ def test_tikhonov_nonpositive_lambda_rejected():
         tikhonov_update(np.zeros((2, 3)), np.zeros(2), SparseCode([0], [1.0], 3), 0.0)
 
 
-def _toy_state(seed=10, phi=1.0, policy=GRAM_NORM):
+def _toy_state(seed=10, phi=1.0, policy=LambdaPolicy("gram-norm")):
     rng = np.random.default_rng(seed)
     m, n, s = 10, 8, 2
     Dt, _, _ = planted_instance(m, n, 1, 1, seed=seed)
@@ -232,6 +230,19 @@ def _toy_state(seed=10, phi=1.0, policy=GRAM_NORM):
     model = _model(Dt)
     return init_state(model, Y, SparseCodeMatrix.from_dense(X), phi=phi,
                       lambda_policy=policy, coding=CodingConfig(s)), Dt
+
+
+def test_toddler_reconstruction_error_is_the_a_priori_error():
+    # ||y - D x|| under the dictionary before the step's RLS update
+    st, Dt = _toy_state(seed=12, phi=0.95)
+    y = Dt[:, 3] + 0.1 * np.random.default_rng(12).standard_normal(Dt.shape[0])
+    D_before = st.model.D.atoms.copy()
+    _, outcome = toddler_step(st, y)
+    expected = np.linalg.norm(y - D_before @ outcome.code.to_dense())
+    assert outcome.reconstruction_error == expected > 0
+    assert not np.array_equal(st.model.D.atoms, D_before)
+    fresh, _ = _toy_state(seed=12, phi=0.95)
+    assert rls_update(fresh, y, outcome.code) == expected
 
 
 def test_toddler_zero_classifier_predicts_class_zero():
@@ -282,7 +293,7 @@ def test_toddler_updates_every_sample():
 
 
 def test_state_checkpoint_round_trip(tmp_path):
-    st, Dt = _toy_state(seed=14, phi=0.95, policy=fixed_lambdas(1.5, 2.5))
+    st, Dt = _toy_state(seed=14, phi=0.95, policy=LambdaPolicy("fixed", 1.5, 2.5))
     for k in range(5):
         toddler_step(st, Dt[:, k % Dt.shape[1]])
     path = tmp_path / "state.npz"
