@@ -4,6 +4,7 @@ Verbs: pretrain, toddler, addl, popularity, synth, eval. Parameters come
 from an optional JSON config file (--config) and are overridable by flags;
 both are built from and checked against experiments.PARAMS.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+A warning raised as an error exits 4 if it is a RuntimeWarning, else 3.
 """
 
 from __future__ import annotations
@@ -93,9 +94,12 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as e:
+    except (NumericalError, RuntimeWarning) as e:  # RuntimeWarning: numpy floating point
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Warning as e:  # another warning raised as an error, e.g. under -W error
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
     metrics = json.dumps(result["metrics"], sort_keys=True)
     print(f"{args.method}: done in {result['wall_time_s']:.2f}s metrics={metrics}")
     return 0

@@ -48,7 +48,11 @@ class DLResult:
 def _select_init_columns(Y: np.ndarray, n_atoms: int, rng: np.random.Generator):
     """Pick distinct nonzero-column indices for initialization; returns the
     chosen indices (fewer than n_atoms when Y is short on columns)."""
-    norms = np.linalg.norm(Y, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(Y, axis=0)
+    if not np.isfinite(norms).all():
+        raise DataError(f"the norm of {np.count_nonzero(~np.isfinite(norms))} sample(s) "
+                        "overflows; rescale the features (--normalize)")
     nonzero = np.flatnonzero(norms > 0)
     if nonzero.size == 0:
         raise DataError("cannot initialize a dictionary from all-zero data")

@@ -8,9 +8,10 @@ unsupervised filters. One kernel, Batch-OMP (Rubinstein, Zibulevsky & Elad,
 bit-identical to a batch_code column, without the batch bookkeeping. Every
 per-column operation in the kernel is independent of the other columns, so a
 signal codes to the same bits alone or inside any batch. A signal stops early
-once its residual norm is within the threshold; neither path forms that
-residual where a rounding bound on the correlation it already holds shows the
-test cannot pass (_exit_bound), so the codes are those of testing every step.
+once its residual norm is within the threshold. The kernel tests the exact
+residual at every step; omp() skips forming it where a rounding bound on the
+correlation it already holds shows the test cannot pass (_exit_bound), so its
+codes are those of testing every step.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class CodingConfig:
     residual_tol is an absolute norm; the effective threshold is
     max(residual_tol, 1e-9 * ||y||) so exactly-representable signals
     terminate early instead of chasing rounding noise. A code of fewer than s
-    atoms stops once its exact residual norm is within the threshold; that
-    residual is formed only where the bound in _exit_bound leaves it open.
+    atoms stops once its exact residual norm is within the threshold; omp
+    forms that residual only where the bound in _exit_bound leaves it open.
     """
 
     s: int
@@ -177,12 +178,11 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return _solve1(gram, rhs, signature="dd->d")
 
 
-def _exit_bound(G: np.ndarray, m: int, s: int, ynorm, tol):
-    """(base, slope): step k-1's code x can pass the exact exit test only if
-    c* <= base + slope * sqrt(k) * ||x||_2. Floats for omp, arrays in
-    _lockstep.
+def _exit_bound(G: np.ndarray, m: int, s: int, ynorm: float, tol: float):
+    """(base, slope) for omp: step k-1's code x can pass the exact exit test
+    only if c* <= base + slope * sqrt(k) * ||x||_2.
 
-    Both paths test step k-1's code after step k's argmax, which holds
+    omp tests step k-1's code after step k's argmax, which holds
     c* = fl(|a0_j - G[j, S] x|) for an atom j outside S (k < s <= n leaves
     one). In exact arithmetic, |d_j^T r| <= nu ||r|| for r = y - D_S x and
     nu = max ||d_j|| = sqrt(max diag G). Rounding, to first order in
@@ -215,9 +215,7 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
     the given output rows. Each step picks, for every live column, the atom
     with the largest |d_j^T r| (ties to the lowest index) from the correlations
     D^T y - G[:, S] x_S and re-solves least squares on the grown support. A
-    column stops at s atoms or once ||y - D_S x_S|| <= its threshold; that
-    residual is formed only for the columns whose correlation at the next
-    step's pick leaves the test open (_exit_bound).
+    column stops at s atoms or once ||y - D_S x_S|| <= its threshold.
     """
     Yt = np.ascontiguousarray(Y.T)
     alpha0 = np.matmul(Yt[:, None, :], A)[:, 0, :]  # one product per signal
@@ -225,8 +223,6 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
     tol = np.maximum(cfg.residual_tol, 1e-9 * ynorm)
     live = np.flatnonzero(ynorm > tol)
     a0, y, tol = alpha0[live], Yt[live], tol[live]
-    with np.errstate(over="ignore"):
-        base, slope = _exit_bound(G, A.shape[0], cfg.s, ynorm[live], tol)
     S = np.zeros((live.size, cfg.s), dtype=int)
     coef = np.zeros((live.size, cfg.s))
     for k in range(cfg.s):
@@ -236,23 +232,6 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
         corr = np.abs(_weighted_rows(a0, G, S[:, :k], coef[:, :k]))
         corr[rows, S[:, :k]] = -1.0
         S[:, k] = np.argmax(corr, axis=1)
-        if k:
-            cstar = corr[rows[:, 0], S[:, k]]
-            with np.errstate(over="ignore", invalid="ignore"):
-                bound = base + slope * math.sqrt(k) * np.hypot.reduce(coef[:, :k], axis=1)
-            test = np.flatnonzero(~((bound < cstar) & (cstar < np.inf)))
-            r = _weighted_rows(y[test], A.T, S[test, :k], coef[test, :k])
-            done = np.zeros(live.size, dtype=bool)
-            done[test] = np.sqrt((r * r).sum(axis=1)) <= tol[test]
-            if done.any():
-                S[done, k] = 0
-                out = live[done]
-                supports[out], values[out], nnz[out] = S[done], coef[done], k
-                live, a0, y, tol, base, S, coef = (
-                    v[~done] for v in (live, a0, y, tol, base, S, coef))
-                if live.size == 0:
-                    return
-                rows = rows[:live.size]
         Sk = S[:, :k + 1]
         gram = G[Sk[:, :, None], Sk[:, None, :]]
         try:
@@ -263,6 +242,13 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
                 f"column {first + live[i]}: singular support sub-matrix on atoms "
                 f"{Sk[i].tolist()} (duplicate or collinear atoms)"
             ) from None
+        if k + 1 < cfg.s:
+            r = _weighted_rows(y, A.T, Sk, coef[:, :k + 1])
+            done = np.sqrt((r * r).sum(axis=1)) <= tol
+            if done.any():
+                out = live[done]
+                supports[out], values[out], nnz[out] = S[done], coef[done], k + 1
+                live, a0, y, tol, S, coef = (v[~done] for v in (live, a0, y, tol, S, coef))
     supports[live], values[live], nnz[live] = S, coef, cfg.s
 
 

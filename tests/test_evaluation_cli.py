@@ -352,6 +352,44 @@ def test_normalize_variance_overflow_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+
+def test_cli_sample_norm_overflow_exit_3(tmp_path, capsys):
+    # without --normalize, ||y||^2 of a sample holding +-1e200 overflows
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,Class\n" + "".join(f"{(-1) ** k * 1e200:g},{k * 0.37 % 5:g},"
+                                            f"{int(k % 7 == 0)}\n" for k in range(60)))
+    rc = main(["addl", "--out", str(tmp_path / "o"), "--dataset", str(data),
+               "--schema", "generic", "--label-column", "Class"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error: ")
+    assert err.count("\n") == 1
+    assert "--normalize" in err
+
+
+def _overflow(*args):
+    return np.float64(1e200) * np.float64(1e200)
+
+
+@pytest.mark.parametrize("patched, rc_expected, prefix", [
+    (False, 3, "data error: constant features mapped to zero: ['b']"),
+    (True, 4, "numerical failure: overflow"),
+], ids=["user-warning", "runtime-warning"])
+def test_cli_warning_raised_as_error_exit_code(tmp_path, capsys, monkeypatch, patched,
+                                               rc_expected, prefix):
+    if patched:
+        monkeypatch.setattr("dictad.cli.run_experiment", _overflow)
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,Class\n" + "".join(f"{k * 0.7 % 3:g},5,{int(k % 5 == 0)}\n"
+                                            for k in range(20)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["addl", "--out", str(tmp_path / "o"), "--dataset", str(data),
+                   "--schema", "generic", "--label-column", "Class", "--normalize"])
+    err = capsys.readouterr().err
+    assert rc == rc_expected
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
 @pytest.mark.filterwarnings("default::UserWarning")
 def test_cli_prints_a_warning_as_one_line(tmp_path, capsys):
     data = tmp_path / "data.csv"

@@ -92,6 +92,17 @@ def test_sparsity_above_atom_count_rejected():
         omp(D, np.ones(4), CodingConfig(4))
 
 
+@pytest.mark.parametrize("support, values, message", [
+    ([1, 3, 1], [1.0, 2.0, 3.0], "duplicate indices"),
+    ([-1, 2], [1.0, 2.0], "out of range"),
+    ([0, 5], [1.0, 2.0], "out of range"),
+    ([0, 2], [1.0], "equal length"),
+], ids=["duplicate-index", "negative-index", "index-at-dim", "unequal-length"])
+def test_sparse_code_rejects_invalid_support(support, values, message):
+    with pytest.raises(CodingError, match=message):
+        SparseCode(np.array(support), np.array(values), 5)
+
+
 def test_duplicate_atoms_reported_as_singular():
     a = np.array([1.0, 0.0, 0.0])
     D = Dictionary(np.column_stack([a, a]))
