@@ -38,7 +38,8 @@ LAMBDA_POLICIES = ("gram-norm", "model-norms", "fixed")
 @dataclass(frozen=True)
 class LambdaPolicy:
     """Regularization-weight policy: spectral norm of G, spectral norms of
-    the current W and A, or the fixed constants lambda1 and lambda2."""
+    the current W and A, or the fixed constants lambda1 and lambda2, which
+    must be finite and positive."""
 
     kind: str  # one of LAMBDA_POLICIES
     lambda1: float = 0.0
@@ -47,6 +48,10 @@ class LambdaPolicy:
     def __post_init__(self):
         if self.kind not in LAMBDA_POLICIES:
             raise DataError(f"unknown lambda policy {self.kind!r}")
+        if self.kind == "fixed" and not all(0 < lam < math.inf
+                                            for lam in (self.lambda1, self.lambda2)):
+            raise DataError("fixed lambda weights must be finite and positive, got "
+                            f"{self.lambda1} and {self.lambda2}")
 
 
 @dataclass
@@ -74,9 +79,12 @@ def _svd_nonconvergence(err, flag):
     raise NumericalError("spectral norm: SVD did not converge")
 
 
+@np.errstate(call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value: LAPACK's SVD gufunc behind np.linalg.svd,
-    called directly under that function's own error state, so the bits of
+    called directly under that function's own error state (set per call by
+    the decorator, as for sparse_coding._solve), so the bits of
     np.linalg.norm(M, 2). Non-finite entries raise NumericalError before
     LAPACK sees them: given inf, LAPACK prints a DLASCL error to stderr and
     returns NaN."""
@@ -88,9 +96,7 @@ def spectral_norm(M: np.ndarray) -> float:
         return 0.0
     if not np.isfinite(M).all():
         raise NumericalError("spectral norm of a matrix with non-finite entries")
-    with np.errstate(call=_svd_nonconvergence, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return float(_svd(M, signature="d->d")[0])
+    return float(_svd(M, signature="d->d")[0])
 
 
 def _ridge(G: np.ndarray) -> float:
@@ -119,6 +125,8 @@ def init_state(
         raise DataError("warmup codes inconsistent with the model dictionary")
     if not (0.0 < phi <= 1.0):
         raise DataError("forgetting factor must lie in (0, 1]")
+    if not np.isfinite(warmup_X.values).all():
+        raise DataError("warmup codes must be finite")
     Xd = warmup_X.to_dense()
     n = model.D.n
     G = Xd @ Xd.T
@@ -128,7 +136,7 @@ def init_state(
     except np.linalg.LinAlgError:
         raise NumericalError("warmup Gram matrix is singular despite ridge") from None
     drift = np.linalg.norm(Ginv @ G - np.eye(n), "fro")
-    if drift > 1e-6 * n:
+    if not drift <= 1e-6 * n:  # a NaN drift fails too
         raise NumericalError(
             f"warmup Gram matrix is ill-conditioned (cond ~ {np.linalg.cond(G):.3g})"
         )
@@ -185,7 +193,7 @@ def lambda_select(state: OnlineState):
 def tikhonov_update(M0: np.ndarray, target: np.ndarray, x: SparseCode, lam: float) -> np.ndarray:
     """Closed-form minimizer of ||target - M x||^2 + lam ||M - M0||_F^2:
     a rank-one correction of the anchor M0."""
-    if lam <= 0:
+    if not lam > 0:  # refuses NaN too
         raise NumericalError("Tikhonov weight must be positive")
     xd = x.to_dense()
     resid = np.asarray(target, dtype=float) - M0 @ xd
@@ -198,7 +206,8 @@ def toddler_step(state: OnlineState, y: np.ndarray):
     update D. Returns (state, outcome)."""
     x = omp(state.model.D, y, state.coding)
     pred, scores = classify(state.model.W, x)
-    h_hat = (np.arange(state.model.n_classes) == pred).astype(float)
+    h_hat = np.zeros(state.model.n_classes)
+    h_hat[pred] = 1.0
     q_hat = (state.model.class_of_atom == pred).astype(float)
     lam1, lam2 = lambda_select(state)
     state.model.W = tikhonov_update(state.model.W, h_hat, x, lam1)

@@ -170,12 +170,14 @@ def _raise_linalg_error(err, flag):
     raise np.linalg.LinAlgError
 
 
+@np.errstate(call=_raise_linalg_error, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """gram^-1 rhs for one system or a stack of them, under np.linalg.solve's
-    own error state: only a singular matrix raises LinAlgError."""
-    with np.errstate(call=_raise_linalg_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _solve1(gram, rhs, signature="dd->d")
+    own error state: only a singular matrix raises LinAlgError. The decorator
+    sets that state per call, as the context manager would, without building
+    an errstate object per call."""
+    return _solve1(gram, rhs, signature="dd->d")
 
 
 def _exit_bound(G: np.ndarray, m: int, s: int, ynorm: float, tol: float):
@@ -274,7 +276,7 @@ def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
         corr = np.abs(a0 - coef @ rows)
         corr[S[:k]] = -1.0
         j = S[k] = corr.argmax()
-        if k and not base + slope * math.sqrt(k) * math.hypot(*coef) < corr[j] < math.inf:
+        if k and not base + slope * math.sqrt(k) * math.hypot(*coef.tolist()) < corr[j] < math.inf:
             r = y - coef @ A.T.take(S[:k], axis=0)
             if np.sqrt((r * r).sum()) <= tol:
                 return _trusted_code(S[:k], coef, n)

@@ -106,7 +106,7 @@ def classify(W: np.ndarray, x: SparseCode):
     """Linear classification of a sparse code: scores = W x, argmax with
     ties broken toward the lowest class id."""
     scores = W[:, x.support] @ x.values
-    return int(np.argmax(scores)), scores
+    return int(scores.argmax()), scores
 
 
 def save_model_file(path, model: DiscriminativeModel, **extra):

@@ -67,6 +67,27 @@ def test_init_state_empty_warmup_rejected():
                    phi=1.0, coding=CodingConfig(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_init_state_non_finite_codes_rejected(bad):
+    D, _, _ = planted_instance(6, 4, 4, 2, seed=0)
+    X = np.eye(4)
+    X[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^warmup codes must be finite$"):
+            init_state(_model(D), D @ np.eye(4), SparseCodeMatrix.from_dense(X), phi=1.0,
+                       coding=CodingConfig(2))
+
+
+def test_init_state_nan_drift_rejected(monkeypatch):
+    # a NaN drift ||Ginv G - I|| fails the test instead of passing it
+    D, _, _ = planted_instance(6, 4, 4, 2, seed=0)
+    monkeypatch.setattr(np.linalg, "inv", lambda G: np.full_like(G, np.nan))
+    with pytest.raises(NumericalError, match="ill-conditioned"):
+        init_state(_model(D), D @ np.eye(4), SparseCodeMatrix.from_dense(np.eye(4)), phi=1.0,
+                   coding=CodingConfig(2))
+
+
 def test_init_state_inverse_accuracy():
     D, _, _ = planted_instance(8, 10, 40, 3, seed=1)
     rng = np.random.default_rng(1)
@@ -217,8 +238,26 @@ def test_tikhonov_stationarity_and_gradient():
 
 
 def test_tikhonov_nonpositive_lambda_rejected():
-    with pytest.raises(NumericalError):
-        tikhonov_update(np.zeros((2, 3)), np.zeros(2), SparseCode([0], [1.0], 3), 0.0)
+    for lam in (0.0, -1.0, np.nan):
+        with pytest.raises(NumericalError):
+            tikhonov_update(np.zeros((2, 3)), np.zeros(2), SparseCode([0], [1.0], 3), lam)
+
+
+@pytest.mark.parametrize("lambdas", [(), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                     (1.0, 0.0), (-1.0, 1.0)])
+def test_fixed_lambda_policy_needs_finite_positive_weights(lambdas):
+    with pytest.raises(DataError, match="^fixed lambda weights must be finite and positive"):
+        LambdaPolicy("fixed", *lambdas)
+
+
+def test_load_state_refuses_a_nan_fixed_weight(tmp_path):
+    st, _ = _toy_state(seed=14, policy=LambdaPolicy("fixed", 1.5, 2.5))
+    save_state(tmp_path / "state.npz", st)
+    with np.load(tmp_path / "state.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    np.savez(tmp_path / "nan.npz", **{**arrays, "policy_lambda1": np.float64(np.nan)})
+    with pytest.raises(DataError, match="^fixed lambda weights must be finite and positive"):
+        load_state(tmp_path / "nan.npz")
 
 
 def _toy_state(seed=10, phi=1.0, policy=LambdaPolicy("gram-norm")):
@@ -453,3 +492,20 @@ def test_toddler_run_bytes_pinned(tmp_path):
         for key in sorted(z.files):
             h.update(key.encode() + z[key].tobytes())
     assert h.hexdigest() == "c3246ea6ac56de6f8e04d264aa9665d1cdc3681024584c0e32272e68416bfe8b"
+
+
+def test_toddler_run_bytes_pinned_at_bench_shapes(tmp_path):
+    # the stream bench's shapes (m = 29, 2 x 8 atoms, s = 5, z-scored): 320
+    # streamed samples cross four ridge restores, and no byte may move
+    run_experiment("toddler", {
+        "synth": {"n_normal": 380, "n_anomaly": 20, "m": 29, "normal_atoms": 16,
+                  "anomaly_atoms": 8, "s_gen": 4, "noise_sigma": 0.1, "seed": 16},
+        "normalize": True, "sparsity": 5, "dl_iterations": 5, "atoms_per_class": 8,
+        "pretrain_fraction": 0.2, "seed": 7,
+    }, tmp_path)
+    h = hashlib.sha256((tmp_path / "predictions.csv").read_bytes())
+    with np.load(tmp_path / "checkpoint.npz") as z:
+        assert int(z["samples_seen"]) == 400
+        for key in sorted(z.files):
+            h.update(key.encode() + z[key].tobytes())
+    assert h.hexdigest() == "e25e3502006c090226978c2ba77d4fd7f15538f7fd4d232867403b15973bea8c"

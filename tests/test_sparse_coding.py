@@ -140,11 +140,14 @@ def test_coding_keeps_error_state_and_warns_nothing(code, duplicate):
     before = (np.geterr(), np.geterrcall())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if duplicate:
-            with pytest.raises(CodingError, match="singular"):
-                code(D, y, cfg)
-        else:
-            assert code(D, y, cfg).to_dense().any()
+        # the solves' own error state holds under any ambient one
+        for ambient in ({}, {"all": "raise"}):
+            with np.errstate(**ambient):
+                if duplicate:
+                    with pytest.raises(CodingError, match="singular"):
+                        code(D, y, cfg)
+                else:
+                    assert code(D, y, cfg).to_dense().any()
     assert (np.geterr(), np.geterrcall()) == before
 
 
