@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="dictad", description="dictionary-learning anomaly detection experiments")
     sub = ap.add_subparsers(dest="method", required=True)
     for verb, text in VERBS.items():
-        p = sub.add_parser(verb, help=text)
+        p = sub.add_parser(verb, help=text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file with experiment parameters")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         for row in (r for r in PARAMS if verb in r.verbs):

@@ -3,8 +3,8 @@
 run_experiment checks and completes a flat parameter dict against PARAMS
 before it touches a file. The verb's driver in RUNNERS then runs one
 experiment, writes its artifacts and returns its metrics; run_experiment
-times it and writes result.json, which echoes the full configuration, the
-metrics and the wall time. Identical config + seed reruns produce
+times it and writes result.json, which echoes the resolved configuration,
+the metrics and the wall time. Identical config + seed reruns produce
 byte-identical artifacts except the wall-time field.
 """
 
@@ -35,22 +35,22 @@ from .supervised import PretrainConfig, pretrain, save_model
 # default filled in), help text, and the SynthConfig field that a synth-verb
 # flag sets.
 Param = namedtuple("Param", "name type domain default verbs help synth", defaults=(None,))
-ALL = ("pretrain", "toddler", "addl", "popularity", "synth", "eval")
-SUPERVISED = ("pretrain", "toddler")
+SUPERVISED, FILTERS = ("pretrain", "toddler"), ("addl", "popularity")
+LEARNERS = SUPERVISED + FILTERS  # the verbs that code and train
+READERS = LEARNERS + ("eval",)  # the verbs that load a dataset
 
 # paper-protocol defaults: s = 5, 20 AK-SVD iterations, phi = 0.95, gram-norm lambdas
 PARAMS = (
-    Param("seed", int, "[0, inf)", 0, ALL, "random seed"),
-    Param("dataset", str, None, None, ALL, "input CSV path"),
-    Param("schema", str, ("ulb", "generic"), "ulb", ALL, "CSV schema"),
-    Param("label_column", str, None, None, ALL, "label column for the generic schema"),
-    Param("normalize", bool, None, False, ALL, "z-score features before the experiment"),
-    Param("subsample_ratio", int, "[0, inf)", 0, ALL, "normals kept per anomaly, 0 = off"),
-    Param("sparsity", int, "[1, inf)", 5, ALL, "OMP sparsity s"),
-    Param("residual_tol", float, "[0, inf)", 0.0, ALL, "OMP residual early-exit norm"),
-    Param("dl_iterations", int, "[1, inf)", 20, ALL, "AK-SVD iterations per training"),
-    Param("stage_atoms", int, "[1, inf)", 16, ALL,
-          "atoms per training stage of addl and popularity, >= sparsity"),
+    Param("seed", int, "[0, inf)", 0, READERS + ("synth",), "random seed"),
+    Param("dataset", str, None, None, READERS, "input CSV path"),
+    Param("schema", str, ("ulb", "generic"), "ulb", READERS, "CSV schema"),
+    Param("label_column", str, None, None, READERS, "label column for the generic schema"),
+    Param("normalize", bool, None, False, READERS, "z-score features before the experiment"),
+    Param("subsample_ratio", int, "[0, inf)", 0, READERS, "normals kept per anomaly, 0 = off"),
+    Param("sparsity", int, "[1, inf)", 5, LEARNERS, "OMP sparsity s"),
+    Param("residual_tol", float, "[0, inf)", 0.0, LEARNERS, "OMP residual early-exit norm"),
+    Param("dl_iterations", int, "[1, inf)", 20, LEARNERS, "AK-SVD iterations per training"),
+    Param("stage_atoms", int, "[1, inf)", 16, FILTERS, "atoms per training stage, >= sparsity"),
     Param("alpha", float, "[0, inf)", 1.0, SUPERVISED, "classifier weight"),
     Param("beta", float, "[0, inf)", 1.0, SUPERVISED, "label-consistency weight"),
     Param("atoms_per_class", int, "[1, inf)", 8, SUPERVISED, "dictionary atoms per class"),
@@ -130,7 +130,7 @@ def resolve_params(method: str, params: dict) -> dict:
         out["synth"] = synth
     elif out["dataset"] is None:
         raise ConfigError("no dataset: provide 'dataset' (CSV path) or 'synth' parameters")
-    if method in ("addl", "popularity") and out["stage_atoms"] < out["sparsity"]:
+    if method in FILTERS and out["stage_atoms"] < out["sparsity"]:
         raise ConfigError(f"stage_atoms {out['stage_atoms']} < sparsity {out['sparsity']}")
     # the pretrained dictionary has 2 classes (normal, anomaly) x atoms_per_class atoms
     if method in SUPERVISED and 2 * out["atoms_per_class"] < out["sparsity"]:

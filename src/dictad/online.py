@@ -129,17 +129,18 @@ def init_state(
         raise DataError("warmup codes must be finite")
     Xd = warmup_X.to_dense()
     n = model.D.n
-    G = Xd @ Xd.T
-    G += _ridge(G) * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite codes whose squares overflow
+        G = Xd @ Xd.T
+        G += _ridge(G) * np.eye(n)
+    if not np.isfinite(G).all():
+        raise NumericalError("warmup Gram matrix overflows: the warmup codes are too large")
     try:
         Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
         raise NumericalError("warmup Gram matrix is singular despite ridge") from None
     drift = np.linalg.norm(Ginv @ G - np.eye(n), "fro")
     if not drift <= 1e-6 * n:  # a NaN drift fails too
-        raise NumericalError(
-            f"warmup Gram matrix is ill-conditioned (cond ~ {np.linalg.cond(G):.3g})"
-        )
+        raise NumericalError(f"warmup Gram matrix is ill-conditioned (|Ginv G - I| = {drift:.3g})")
     model = DiscriminativeModel(Dictionary(model.D.atoms.copy()), model.W.copy(),
                                 model.A.copy(), model.class_of_atom.copy())
     return OnlineState(model, G, Ginv, phi, lambda_policy, warmup_X.n_columns, coding)

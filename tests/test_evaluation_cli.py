@@ -9,6 +9,7 @@ from dictad.anomaly import ADDLConfig, addl_run
 from dictad.cli import main
 from dictad.data_io import ULB_FEATURES, load_csv, normalize, subsample
 from dictad.dictionary_learning import DLConfig
+from dictad.experiments import PARAMS
 from dictad.sparse_coding import CodingConfig
 
 
@@ -195,19 +196,24 @@ def test_cli_toddler_checkpoint_records_policy(tmp_path, flags, policy):
                                              ("toddler", "checkpoint.npz")])
 def test_cli_supervised_verbs_do_not_read_stage_atoms(tmp_path, verb, artifact):
     # stage_atoms 2 < sparsity 3 <= 2 x atoms_per_class: the pretrained
-    # dictionary has 8 atoms whatever stage_atoms says
+    # dictionary has 8 atoms whatever stage_atoms says. A config file may
+    # hold the key; the verb has no --stage-atoms flag.
+    cfg = json.loads(_toy_config(tmp_path).read_text())
     arrays = []
-    for stage_atoms in ("2", "8"):
+    for stage_atoms in (2, 8):
         out = tmp_path / f"{verb}-{stage_atoms}"
-        argv = [verb, "--config", str(_toy_config(tmp_path)), "--out", str(out),
-                "--stage-atoms", stage_atoms]
-        assert main(argv) == 0
+        config = tmp_path / f"config-{stage_atoms}.json"
+        config.write_text(json.dumps({**cfg, "stage_atoms": stage_atoms}))
+        assert main([verb, "--config", str(config), "--out", str(out)]) == 0
         with np.load(out / artifact) as z:
             arrays.append({k: z[k] for k in z.files})
         assert arrays[-1]["D"].shape == (16, 8)
     assert arrays[0].keys() == arrays[1].keys()
     for key in arrays[0]:
         assert np.array_equal(arrays[0][key], arrays[1][key])
+    out = tmp_path / f"{verb}-flag"
+    assert main([verb, "--config", str(config), "--out", str(out), "--stage-atoms", "8"]) == 2
+    assert not out.exists()
 
 
 def test_cli_eval_verb(tmp_path):
@@ -248,6 +254,43 @@ def test_result_json_is_the_returned_record(tmp_path, verb, extra):
     assert set(result) == {"method", "config", "seed", "metrics", "wall_time_s"}
     assert result["method"] == verb
     assert json.loads((tmp_path / "out" / "result.json").read_text()) == result
+
+
+_DATA_KEYS = {"seed", "dataset", "schema", "label_column", "normalize", "subsample_ratio"}
+_LEARNER_KEYS = _DATA_KEYS | {"sparsity", "residual_tol", "dl_iterations"}
+
+
+@pytest.mark.parametrize("verb, config, keys", [
+    ("synth", {}, {"seed", "synth"}),
+    ("eval", {}, _DATA_KEYS | {"predictions"}),
+    ("addl", {}, _LEARNER_KEYS | {"stage_atoms", "global_iterations"}),
+    ("popularity", {}, _LEARNER_KEYS | {"stage_atoms", "n_anomalies", "max_iterations",
+                                        "literal_set_builder"}),
+    ("pretrain", {}, _LEARNER_KEYS | {"alpha", "beta", "atoms_per_class"}),
+    ("toddler", {}, _LEARNER_KEYS | {"alpha", "beta", "atoms_per_class", "phi",
+                                     "lambda_policy", "lambda1", "lambda2", "pretrain_fraction"}),
+    # a config key of another verb is accepted, ignored and echoed
+    ("eval", {"sparsity": 3}, _DATA_KEYS | {"predictions", "sparsity"}),
+], ids=["synth", "eval", "addl", "popularity", "pretrain", "toddler", "eval-config-sparsity"])
+def test_result_config_holds_only_what_the_verb_reads(tmp_path, verb, config, keys):
+    data_dir = tmp_path / "data"
+    assert main(_synth_flags(data_dir)) == 0
+    preds = tmp_path / "preds.txt"
+    preds.write_text("0\n" * 48)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    extra = {"eval": ["--predictions", str(preds)], "toddler": ["--pretrain-fraction", "0.5"]}
+    argv = _synth_flags(out) if verb == "synth" else [
+        verb, "--out", str(out), "--dataset", str(data_dir / "dataset.csv"),
+        "--schema", "generic", "--label-column", "Class", *extra.get(verb, [])]
+    assert main(argv + ["--config", str(path)]) == 0
+    recorded = json.loads((out / "result.json").read_text())["config"]
+    assert set(recorded) == keys
+    assert recorded.items() >= config.items()
+    # the synth verb folds its rows into the synth object
+    assert keys - {"synth"} - set(config) == {
+        p.name for p in PARAMS if verb in p.verbs and not p.synth}
 
 
 def test_cli_missing_config_file_exit_2(tmp_path, capsys):
@@ -417,12 +460,10 @@ def test_eval_prediction_lines(tmp_path, capsys):
     assert "line 4 is 'yes', not 0 or 1" in capsys.readouterr().err
 
 
-_COMMON_FLAGS = {
-    "-h", "--help", "--config", "--seed", "--out", "--dataset", "--schema", "--label-column",
-    "--normalize", "--subsample-ratio", "--sparsity", "--residual-tol", "--dl-iterations",
-    "--stage-atoms",
-}
-_SUPERVISED_FLAGS = {"--alpha", "--beta", "--atoms-per-class"}
+_COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--out"}
+_DATA_FLAGS = {"--dataset", "--schema", "--label-column", "--normalize", "--subsample-ratio"}
+_LEARNER_FLAGS = _DATA_FLAGS | {"--sparsity", "--residual-tol", "--dl-iterations"}
+_SUPERVISED_FLAGS = _LEARNER_FLAGS | {"--alpha", "--beta", "--atoms-per-class"}
 
 
 def test_cli_flag_surface():
@@ -439,11 +480,12 @@ def test_cli_flag_surface():
         "pretrain": _SUPERVISED_FLAGS,
         "toddler": _SUPERVISED_FLAGS | {"--phi", "--lambda-policy", "--lambda1", "--lambda2",
                                         "--pretrain-fraction"},
-        "addl": {"--global-iterations"},
-        "popularity": {"--n-anomalies", "--max-iterations", "--literal-set-builder"},
+        "addl": _LEARNER_FLAGS | {"--stage-atoms", "--global-iterations"},
+        "popularity": _LEARNER_FLAGS | {"--stage-atoms", "--n-anomalies", "--max-iterations",
+                                        "--literal-set-builder"},
         "synth": {"--n-normal", "--n-anomaly", "--features", "--normal-atoms",
                   "--anomaly-atoms", "--s-gen", "--noise-sigma"},
-        "eval": {"--predictions"},
+        "eval": _DATA_FLAGS | {"--predictions"},
     }
 
 
@@ -485,6 +527,11 @@ _SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
      []),
     ("pretrain", None, ["--sparsity", "5", "--atoms-per-class", "2"]),
     ("toddler", None, ["--sparsity", "5", "--atoms-per-class", "2"]),
+    ("synth", None, _SYNTH_ARGS + ["--noise-sigma", "0.01", "--sparsity", "3"]),
+    # taken as prefixes, --normal would set --normal-atoms (synth has no
+    # --normalize) and --pretrain --pretrain-fraction
+    ("synth", None, _SYNTH_ARGS + ["--noise-sigma", "0.01", "--normal", "4"]),
+    ("toddler", None, ["--pretrain", "0.2"]),
 ], ids=["string-int", "misspelled-key", "string-bool", "fractional-int", "bool-int",
         "nan-float", "non-object", "synth-missing-field", "synth-unknown-field",
         "synth-unknown-field-addl", "more-anomalies-than-normals", "sparsity-0",
@@ -493,9 +540,12 @@ _SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
         "negative-subsample-ratio", "fixed-lambdas-missing", "negative-lambda",
         "flag-not-an-int", "flag-not-a-choice", "model-norms-zero-alpha",
         "model-norms-zero-beta", "synth-atoms-above-limit", "synth-object-atoms-above-limit",
-        "pretrain-atoms-below-sparsity", "toddler-atoms-below-sparsity"])
+        "pretrain-atoms-below-sparsity", "toddler-atoms-below-sparsity",
+        "flag-of-another-verb", "abbreviated-flag-synth", "abbreviated-flag-toddler"])
 def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
-    argv = [verb, "--out", str(tmp_path / "o"), "--dataset", str(tmp_path / "missing.csv")]
+    argv = [verb, "--out", str(tmp_path / "o")]
+    if verb != "synth":  # the one verb that reads no dataset and has no --dataset flag
+        argv += ["--dataset", str(tmp_path / "missing.csv")]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

@@ -88,6 +88,19 @@ def test_init_state_nan_drift_rejected(monkeypatch):
                    coding=CodingConfig(2))
 
 
+def test_init_state_overflowing_gram_rejected():
+    # finite codes whose Gram overflows: a NumericalError, with no numpy
+    # warning and no LinAlgError from a condition number of a non-finite G
+    D, _, _ = planted_instance(6, 4, 4, 2, seed=0)
+    X = np.eye(4)
+    X[0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^warmup Gram matrix overflows"):
+            init_state(_model(D), D @ X, SparseCodeMatrix.from_dense(X), phi=1.0,
+                       coding=CodingConfig(2))
+
+
 def test_init_state_inverse_accuracy():
     D, _, _ = planted_instance(8, 10, 40, 3, seed=1)
     rng = np.random.default_rng(1)
