@@ -46,7 +46,7 @@ PARAMS = (
     Param("schema", str, ("ulb", "generic"), "ulb", READERS, "CSV schema"),
     Param("label_column", str, None, None, READERS, "label column for the generic schema"),
     Param("normalize", bool, None, False, READERS, "z-score features before the experiment"),
-    Param("subsample_ratio", int, "[0, inf)", 0, READERS, "normals kept per anomaly, 0 = off"),
+    Param("subsample_ratio", int, "[0, inf)", 0, LEARNERS, "normals kept per anomaly, 0 = off"),
     Param("sparsity", int, "[1, inf)", 5, LEARNERS, "OMP sparsity s"),
     Param("residual_tol", float, "[0, inf)", 0.0, LEARNERS, "OMP residual early-exit norm"),
     Param("dl_iterations", int, "[1, inf)", 20, LEARNERS, "AK-SVD iterations per training"),
@@ -105,7 +105,7 @@ def resolve_params(method: str, params: dict) -> dict:
     """params checked against PARAMS and completed with the defaults of
     method's rows. Unknown keys, wrong types, non-finite floats, values out
     of range and broken cross-key rules raise ConfigError. None counts as
-    absent; a known key of another verb is accepted."""
+    absent; a known key of another verb is checked, then dropped."""
     if not isinstance(params, dict):
         raise ConfigError(f"parameters must be an object, got {type(params).__name__}")
     out = {p.name: p.default for p in PARAMS if method in p.verbs and not p.synth}
@@ -113,7 +113,9 @@ def resolve_params(method: str, params: dict) -> dict:
         if key not in _ROWS:
             raise ConfigError(f"unknown parameter {key!r}")
         if value is not None:
-            out[key] = _check(key, value, _ROWS[key].type, _ROWS[key].domain)
+            value = _check(key, value, _ROWS[key].type, _ROWS[key].domain)
+            if method in _ROWS[key].verbs or key == "synth":
+                out[key] = value
     synth = out.pop("synth", None) or {}
     if method == "synth":
         synth.update({p.synth: out.pop(p.name) for p in PARAMS if p.synth and p.name in out})
@@ -145,8 +147,6 @@ def resolve_params(method: str, params: dict) -> dict:
                           "a zero weight trains W or A to 0, so its lambda is 0")
     if method == "eval" and out["predictions"] is None:
         raise ConfigError("evaluation needs a 'predictions' file (one 0/1 per line)")
-    if method == "eval" and out["subsample_ratio"] > 0:
-        raise ConfigError("subsample_ratio must be 0 for eval: predictions follow the file order")
     return out
 
 
@@ -158,7 +158,7 @@ def _load_dataset(params: dict) -> Dataset:
                       label_column=params["label_column"])
     if params["normalize"]:
         ds = normalize(ds)
-    if params["subsample_ratio"] > 0:
+    if params.get("subsample_ratio", 0) > 0:  # eval has no such row: predictions follow the rows
         ds = subsample(ds, params["subsample_ratio"], params["seed"])
     return ds
 

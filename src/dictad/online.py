@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# The LAPACK gufunc behind np.linalg.svd(M, compute_uv=False); its wrapper's
-# checks cost about a quarter of the call on the n x n Grams of the stream.
+# The LAPACK gufuncs behind np.linalg.inv and np.linalg.svd(M, compute_uv=False);
+# their wrappers' checks cost about a quarter of the call on the stream's n x n Grams.
+from numpy.linalg._umath_linalg import inv as _inv
 from numpy.linalg._umath_linalg import svd as _svd
 
 from .errors import DataError, NumericalError
@@ -100,8 +101,23 @@ def spectral_norm(M: np.ndarray) -> float:
 
 
 def _ridge(G: np.ndarray) -> float:
-    """Conditioning ridge for G: 1e-8 times its mean diagonal entry."""
-    return 1e-8 * np.trace(G) / G.shape[0]
+    """Conditioning ridge for G: 1e-8 times its mean diagonal entry. Summing
+    the diagonal view gives the bits of G.trace(), at about half its cost
+    when the call is cold, as in the stream's every-100 restore."""
+    return 1e-8 * float(np.add.reduce(G.diagonal())) / G.shape[0]
+
+
+def _singular_gram(err, flag):
+    raise NumericalError("online Gram matrix became singular")
+
+
+@np.errstate(call=_singular_gram, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _inverse(G: np.ndarray) -> np.ndarray:
+    """G^-1 from LAPACK's gufunc behind np.linalg.inv, under that function's
+    own error state (set per call by the decorator, as for spectral_norm), so
+    its bits; a singular G raises NumericalError."""
+    return _inv(G, signature="d->d")
 
 
 def init_state(
@@ -167,13 +183,17 @@ def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> float:
     state.Ginv -= alpha * (u[:, None] * u)
     state.samples_seen += 1
     if state.samples_seen % _RIDGE_EVERY == 0:
-        n = state.G.shape[0]
-        state.G += (1.0 - state.phi**_RIDGE_EVERY) * _ridge(state.G) * np.eye(n)
-        try:
-            state.Ginv = np.linalg.inv(state.G)
-        except np.linalg.LinAlgError:
-            raise NumericalError("online Gram matrix became singular") from None
-        if not all(np.all(np.isfinite(M)) for M in (state.G, state.Ginv, state.model.D.atoms)):
+        # G += c I with its bits: c * 0.0 everywhere, as the identity's zeros
+        # add it (an off-diagonal -0.0 turns +0.0), then G_ii + c set on the
+        # diagonal through G.flat, which writes through for any layout
+        # (G.ravel() would copy a non-contiguous G)
+        c = (1.0 - state.phi**_RIDGE_EVERY) * _ridge(state.G)
+        ridged = state.G.diagonal() + c
+        state.G += c * 0.0
+        state.G.flat[::state.G.shape[0] + 1] = ridged
+        state.Ginv = _inverse(state.G)
+        if not (np.isfinite(state.G).all() and np.isfinite(state.Ginv).all()
+                and np.isfinite(state.model.D.atoms).all()):
             raise NumericalError(
                 f"online state became non-finite after {state.samples_seen} samples"
             )

@@ -491,6 +491,35 @@ def test_toddler_step_non_finite_gram_raises(capfd):
     assert capfd.readouterr().err == ""
 
 
+def _state_before_restore():
+    # the next update is the 100th: it restores the ridge and re-inverts G
+    D, _, _ = planted_instance(6, 4, 4, 2, seed=19)
+    st = init_state(_model(D), D @ np.eye(4), SparseCodeMatrix.from_dense(np.eye(4)), phi=0.95,
+                    coding=CodingConfig(2))
+    st.samples_seen = 99
+    return st
+
+
+def test_rls_restore_singular_gram_raises_without_lapack_output(capfd):
+    # G = 0 has a zero ridge, so the restore inverts a singular matrix
+    st = _state_before_restore()
+    st.G[:] = 0.0
+    with pytest.raises(NumericalError, match="^online Gram matrix became singular$"):
+        rls_update(st, np.zeros(6), SparseCode([], [], 4))
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rls_restore_non_finite_dictionary_raises_without_lapack_output(capfd, bad):
+    st = _state_before_restore()
+    st.model.D.atoms[2, 1] = bad
+    with np.errstate(invalid="ignore"):  # the a-priori residual's inf * 0
+        with pytest.raises(NumericalError,
+                           match="^online state became non-finite after 100 samples$"):
+            rls_update(st, np.zeros(6), SparseCode([], [], 4))
+    assert capfd.readouterr().err == ""
+
+
 def test_toddler_run_bytes_pinned(tmp_path):
     # pinned bytes of a small seeded stream that crosses three ridge restores:
     # neither predictions.csv nor any checkpoint array may move by a bit

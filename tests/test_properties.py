@@ -2,7 +2,8 @@
 statistics (m, n, s, N), including all-zero and exactly representable
 signals; both OMP paths against the kernel that tests every early exit on
 the exact residual; the phi = 1 RLS stream against batch least squares; the
-AK-SVD objective trace; CSV reading and writing against per-value oracles;
+RLS ridge restore against its np.eye/np.linalg.inv form; the AK-SVD
+objective trace; CSV reading and writing against per-value oracles;
 the block-drawn synthetic generator against its per-sample draws; library
 calls leave their input arrays unchanged."""
 
@@ -10,6 +11,7 @@ import copy
 import csv
 import dataclasses
 import io
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -27,6 +29,7 @@ from dictad import (
     DiscriminativeModel,
     Dataset,
     DLConfig,
+    NumericalError,
     SparseCode,
     SparseCodeMatrix,
     addl_run,
@@ -47,6 +50,7 @@ from dictad import (
     train,
 )
 from dictad import data_io
+from dictad.online import _RIDGE_EVERY
 from dictad.dictionary_learning import atom_update_pass
 from dictad.sparse_coding import _solve, _weighted_rows
 from dictad.data_io import _SIGNS, DataError
@@ -328,6 +332,101 @@ def test_rls_at_phi_1_equals_batch_least_squares(s, extra_atoms, m, warm_factor,
     batch = (Yall @ Xall.T) @ np.linalg.inv(G0 + Xs @ Xs.T)
     rel = np.linalg.norm(state.model.D.atoms - batch) / np.linalg.norm(batch)
     assert rel <= 1e-8
+
+
+def _ridge_through_trace(G):
+    return 1e-8 * np.trace(G) / G.shape[0]
+
+
+def _eye_restore_rls_update(state, y, x):
+    # rls_update as it was when the ridge restore added c * np.eye(n) and
+    # called np.linalg.inv
+    xd = x.to_dense()
+    u = (state.Ginv @ xd) / state.phi
+    denom = 1.0 + float(xd @ u)
+    if denom <= 0.0:
+        raise NumericalError("nonpositive RLS gain denominator: corrupted online state")
+    alpha = 1.0 / denom
+    r = np.asarray(y, dtype=float) - state.model.D.atoms @ xd
+    state.model.D.atoms += alpha * (r[:, None] * u)
+    state.G *= state.phi
+    state.G += xd[:, None] * xd
+    state.Ginv /= state.phi
+    state.Ginv -= alpha * (u[:, None] * u)
+    state.samples_seen += 1
+    if state.samples_seen % _RIDGE_EVERY == 0:
+        n = state.G.shape[0]
+        state.G += (1.0 - state.phi**_RIDGE_EVERY) * _ridge_through_trace(state.G) * np.eye(n)
+        try:
+            state.Ginv = np.linalg.inv(state.G)
+        except np.linalg.LinAlgError:
+            raise NumericalError("online Gram matrix became singular") from None
+        if not all(np.all(np.isfinite(M)) for M in (state.G, state.Ginv, state.model.D.atoms)):
+            raise NumericalError(
+                f"online state became non-finite after {state.samples_seen} samples"
+            )
+    return math.sqrt(r.dot(r))  # np.linalg.norm's arithmetic on a vector
+
+
+def _update_outcome(update, state, y, x):
+    try:
+        return update(state, y, x)
+    except NumericalError as e:
+        return str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 3), st.integers(2, 10),
+       st.integers(3, 5), st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       st.integers(100, 250), st.integers(0, 2**32 - 1))
+def test_rls_restore_keeps_the_bits_of_the_eye_restore(s, extra_atoms, unused, m, warm_factor,
+                                                       phi, n_stream, seed):
+    # Reachable states: init_state from warm-up codes that never use the last
+    # `unused` atoms, then a stream over the same atoms of at least 100
+    # updates, so it crosses a restore. At phi = 1 the restore adds a zero
+    # ridge. Small phi can wreck the state; then both sides must fail alike.
+    k = s + extra_atoms
+    n = k + unused
+    rng = np.random.default_rng(seed)
+    Dt = rng.standard_normal((m, n))
+    Xw = np.vstack([_sparse_cols(rng, k, s, warm_factor * k), np.zeros((unused, warm_factor * k))])
+    model = DiscriminativeModel(Dictionary(Dt.copy()), np.zeros((2, n)), np.zeros((n, n)),
+                                np.arange(n) % 2)
+    state = init_state(model, Dt @ Xw, SparseCodeMatrix.from_dense(Xw), phi=phi,
+                       coding=CodingConfig(s))
+    ref = copy.deepcopy(state)
+    with np.errstate(all="ignore"):  # both sides compute the same bits, warned or not
+        for _ in range(n_stream):
+            x = SparseCode(rng.choice(k, s, replace=False), rng.standard_normal(s), n)
+            y = Dt @ x.to_dense() + 0.05 * rng.standard_normal(m)
+            got = _update_outcome(rls_update, state, y, x)
+            want = _update_outcome(_eye_restore_rls_update, ref, y, x)
+            assert str(got) == str(want)  # the a-priori error, NaN included, or the message
+            for a, b in ((state.G, ref.G), (state.Ginv, ref.Ginv),
+                         (state.model.D.atoms, ref.model.D.atoms)):
+                assert a.tobytes() == b.tobytes()
+            if isinstance(want, str):
+                break
+
+
+def test_rls_restore_turns_an_off_diagonal_negative_zero_positive():
+    # np.eye's zeros add +0.0 off the diagonal, which turns a -0.0 there into
+    # +0.0. Streams seen so far never hold one; a hand-made checkpoint may.
+    n = 4
+    Dt = np.random.default_rng(20).standard_normal((6, n))
+    model = DiscriminativeModel(Dictionary(Dt.copy()), np.zeros((2, n)), np.zeros((n, n)),
+                                np.arange(n) % 2)
+    state = init_state(model, Dt, SparseCodeMatrix.from_dense(np.eye(n)), phi=0.95,
+                       coding=CodingConfig(2))
+    state.G[0, 1] = state.G[1, 0] = -0.0
+    state.samples_seen = 99
+    ref = copy.deepcopy(state)
+    x = SparseCode([1], [-1.0], n)  # x x^T adds 0 * -1.0 = -0.0 at (0, 1)
+    assert rls_update(state, np.ones(6), x) == _eye_restore_rls_update(ref, np.ones(6), x)
+    assert not np.signbit(ref.G[0, 1])
+    for a, b in ((state.G, ref.G), (state.Ginv, ref.Ginv),
+                 (state.model.D.atoms, ref.model.D.atoms)):
+        assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
