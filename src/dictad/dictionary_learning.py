@@ -74,12 +74,14 @@ def init_dictionary(Y: np.ndarray, n_atoms: int, seed: int) -> Dictionary:
     return Dictionary(atoms)
 
 
-def objective(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> float:
-    """||Y - DX||_F (square root of the minimized quantity)."""
+def objective(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix,
+              R: np.ndarray | None = None) -> float:
+    """||Y - DX||_F (square root of the minimized quantity); R, when given,
+    is residuals(D, Y, X)."""
     Y = np.asarray(Y, dtype=float)
     if Y.shape[0] != D.m or Y.shape[1] != X.n_columns:
         raise DataError(f"dimension mismatch: Y {Y.shape} vs D {D.atoms.shape}, N={X.n_columns}")
-    return float(np.linalg.norm(residuals(D, Y, X)))
+    return float(np.linalg.norm(residuals(D, Y, X) if R is None else R))
 
 
 def _sign_fix(d: np.ndarray) -> np.ndarray:
@@ -90,39 +92,54 @@ def _sign_fix(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def atom_update_pass(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix):
+def atom_update_pass(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix,
+                     R: np.ndarray | None = None):
     """AK-SVD sweep: for each used atom j, one rank-one power-iteration step
     on the residual restricted to the signals using j. Supports stay fixed;
-    coefficient values on them are re-solved. Unused atoms are skipped."""
-    A = D.atoms.copy()
+    coefficient values on them are re-solved. Unused atoms are skipped.
+    R, when given, is residuals(D, Y, X) and is updated in place. One stable
+    argsort groups each atom's nonzero slots in row order."""
+    if R is None:
+        R = residuals(D, Y, X)
+    A = D.atoms.copy()  # C order, whatever D's: BLAS's bits depend on the layout
     values = X.values.copy()
-    R = residuals(D, Y, X)
-    nonzero = X.occupied() & (values != 0)
-    for j in range(A.shape[1]):
-        used, at = np.nonzero(nonzero & (X.supports == j))
-        if used.size == 0:
+    flat = values.reshape(-1)
+    slots = np.flatnonzero(X.occupied() & (values != 0))
+    atoms = X.supports.reshape(-1)[slots]
+    ends = np.cumsum(np.bincount(atoms, minlength=A.shape[1])).tolist()
+    # keys of 16 bits or fewer take numpy's radix sort: ~8x faster than int64's
+    slots = slots[np.argsort(atoms.astype(np.min_scalar_type(A.shape[1] - 1)), kind="stable")]
+    del atoms
+    for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        if lo == hi:
             continue
-        xrow = values[used, at]
-        E = R[used] + np.outer(xrow, A[:, j])
-        g = xrow @ E
-        gnorm = np.linalg.norm(g)
+        group = slots[lo:hi]
+        used = group // values.shape[1]
+        xrow = flat[group]
+        E = R[used]  # updated in place: one temporary of its size fewer at the memory peak
+        E += np.outer(xrow, A[:, j])
+        with np.errstate(over="ignore"):
+            g = xrow @ E
+            gnorm = np.linalg.norm(g)
+        if not np.isfinite(gnorm):
+            raise DataError(f"the update of atom {j} overflows; "
+                            "rescale the features (--normalize)")
         if gnorm > 0:
             A[:, j] = _sign_fix(g / gnorm)
         xnew = E @ A[:, j]
-        values[used, at] = xnew
-        R[used] = E - np.outer(xnew, A[:, j])
+        flat[group] = xnew
+        E -= np.outer(xnew, A[:, j])
+        R[used] = E
     return Dictionary(A), SparseCodeMatrix(X.supports, values, X.nnz, X.dim)
 
 
-def _replace_dead_atoms(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> Dictionary:
-    """Swap zero-popularity atoms for the worst-represented signals
-    (normalized, distinct signals per atom)."""
+def _replace_dead_atoms(A: np.ndarray, Y: np.ndarray, X: SparseCodeMatrix, errs: np.ndarray):
+    """Swap, in place, the zero-popularity atoms of A for the signals worst
+    represented by their errors errs (normalized, distinct signals per atom)."""
     dead = np.flatnonzero(atom_popularity(X) == 0)
     if dead.size == 0:
-        return D
-    errs = representation_errors(D, Y, X)
+        return
     worst = np.argsort(-errs, kind="stable")
-    A = D.atoms.copy()
     k = 0
     for j in dead:
         while k < worst.size and np.linalg.norm(Y[:, worst[k]]) == 0:
@@ -132,7 +149,6 @@ def _replace_dead_atoms(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> Di
         y = Y[:, worst[k]]
         A[:, j] = y / np.linalg.norm(y)
         k += 1
-    return Dictionary(A)
 
 
 def train(Y: np.ndarray, cfg: DLConfig) -> DLResult:
@@ -143,25 +159,36 @@ def train(Y: np.ndarray, cfg: DLConfig) -> DLResult:
     Greedy recoding is not monotone on its own: a fresh OMP support can fit
     a column worse than the previous pass's re-solved coefficients. Each
     column therefore keeps whichever of the two codes has the smaller
-    residual, which makes the whole trace non-increasing."""
+    residual, which makes the whole trace non-increasing. The new codes'
+    residual serves that test and starts the atom update; the post-update
+    one gives the trace, the dead-atom ranking and the next test's errors."""
     Y = np.asarray(Y, dtype=float)
     D = init_dictionary(Y, cfg.n_atoms, cfg.seed)
     trace = np.empty(cfg.iterations)
-    X = None
+    X = errs = None
     for it in range(cfg.iterations):
         X_new = batch_code(D, Y, cfg.coding)
+        R = residuals(D, Y, X_new)
         if X is not None:
-            new = representation_errors(D, Y, X_new) <= representation_errors(D, Y, X)
+            new = representation_errors(D, Y, X_new, R) <= errs
             X = SparseCodeMatrix(
                 np.where(new[:, None], X_new.supports, X.supports),
                 np.where(new[:, None], X_new.values, X.values),
                 np.where(new, X_new.nnz, X.nnz),
                 X.dim,
             )
+            old = np.flatnonzero(~new)
+            R[old] = residuals(D, Y[:, old], SparseCodeMatrix(
+                X.supports[old], X.values[old], X.nnz[old], X.dim))
         else:
             X = X_new
-        D, X = atom_update_pass(D, Y, X)
-        trace[it] = objective(D, Y, X)
-        D = _replace_dead_atoms(D, Y, X)
+        D, X = atom_update_pass(D, Y, X, R)
+        del R  # at most one N x m residual at a time
+        R = residuals(D, Y, X)
+        trace[it] = objective(D, Y, X, R)
+        errs = representation_errors(D, Y, X, R)
+        del R
+        # a dead atom appears, if at all, only in padding slots of value 0: errs still holds
+        _replace_dead_atoms(D.atoms, Y, X, errs)
     unused = [int(j) for j in np.flatnonzero(atom_popularity(X) == 0)]
     return DLResult(D, X, trace, unused)

@@ -323,9 +323,11 @@ def residuals(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> np.ndarray:
                            for c in chunks])
 
 
-def representation_errors(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix) -> np.ndarray:
-    """Per-signal residual norms e_i = ||y_i - D x_i||_2."""
-    return np.linalg.norm(residuals(D, Y, X), axis=1)
+def representation_errors(D: Dictionary, Y: np.ndarray, X: SparseCodeMatrix,
+                          R: np.ndarray | None = None) -> np.ndarray:
+    """Per-signal residual norms e_i = ||y_i - D x_i||_2; R, when given, is
+    residuals(D, Y, X)."""
+    return np.linalg.norm(residuals(D, Y, X) if R is None else R, axis=1)
 
 
 def atom_popularity(X: SparseCodeMatrix) -> np.ndarray:

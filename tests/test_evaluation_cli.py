@@ -396,11 +396,16 @@ def test_normalize_variance_overflow_exit_3(tmp_path, capsys):
 
 
 
+def _signed_scale_table(path, scale):
+    # 60 rows: feature a alternates +-scale, b is small, every 7th row an anomaly
+    path.write_text("a,b,Class\n" + "".join(f"{(-1) ** k * scale:g},{k * 0.37 % 5:g},"
+                                            f"{int(k % 7 == 0)}\n" for k in range(60)))
+    return path
+
+
 def test_cli_sample_norm_overflow_exit_3(tmp_path, capsys):
     # without --normalize, ||y||^2 of a sample holding +-1e200 overflows
-    data = tmp_path / "data.csv"
-    data.write_text("a,b,Class\n" + "".join(f"{(-1) ** k * 1e200:g},{k * 0.37 % 5:g},"
-                                            f"{int(k % 7 == 0)}\n" for k in range(60)))
+    data = _signed_scale_table(tmp_path / "data.csv", 1e200)
     rc = main(["addl", "--out", str(tmp_path / "o"), "--dataset", str(data),
                "--schema", "generic", "--label-column", "Class"])
     err = capsys.readouterr().err
@@ -408,6 +413,24 @@ def test_cli_sample_norm_overflow_exit_3(tmp_path, capsys):
     assert err.startswith("data error: ")
     assert err.count("\n") == 1
     assert "--normalize" in err
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("addl", []),
+    ("popularity", []),
+    ("pretrain", []),
+    ("toddler", ["--pretrain-fraction", "0.5", "--atoms-per-class", "4"]),  # 30 rows, 8 atoms
+], ids=["addl", "popularity", "pretrain", "toddler"])
+def test_cli_atom_update_overflow_exit_3(tmp_path, capsys, verb, flags):
+    # +-1e100 features keep every sample norm finite, but the norm of an atom
+    # update (entries near 1e200) overflows: one data-error line, not an
+    # overflow warning and a run on an atom divided by inf
+    data = _signed_scale_table(tmp_path / "data.csv", 1e100)
+    rc = main([verb, "--out", str(tmp_path / "o"), "--dataset", str(data),
+               "--schema", "generic", "--label-column", "Class"] + flags)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "data error: the update of atom 0 overflows; rescale the features (--normalize)\n"
 
 
 def _overflow(*args):

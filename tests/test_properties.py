@@ -3,9 +3,10 @@ statistics (m, n, s, N), including all-zero and exactly representable
 signals; both OMP paths against the kernel that tests every early exit on
 the exact residual; the phi = 1 RLS stream against batch least squares; the
 RLS ridge restore against its np.eye/np.linalg.inv form; the AK-SVD
-objective trace; CSV reading and writing against per-value oracles;
+objective trace, and train's bytes against its loop that formed every
+residual anew; CSV reading and writing against per-value oracles;
 the block-drawn synthetic generator against its per-sample draws; library
-calls leave their input arrays unchanged."""
+calls leave their input arrays unchanged, C- or Fortran-ordered."""
 
 import copy
 import csv
@@ -29,6 +30,7 @@ from dictad import (
     DiscriminativeModel,
     Dataset,
     DLConfig,
+    DLResult,
     NumericalError,
     SparseCode,
     SparseCodeMatrix,
@@ -36,9 +38,11 @@ from dictad import (
     atom_popularity,
     batch_code,
     classify,
+    init_dictionary,
     init_state,
     load_csv,
     normalize,
+    objective,
     omp,
     representation_errors,
     rls_update,
@@ -51,8 +55,8 @@ from dictad import (
 )
 from dictad import data_io
 from dictad.online import _RIDGE_EVERY
-from dictad.dictionary_learning import atom_update_pass
-from dictad.sparse_coding import _solve, _weighted_rows
+from dictad.dictionary_learning import _sign_fix, atom_update_pass
+from dictad.sparse_coding import _solve, _weighted_rows, residuals
 from dictad.data_io import _SIGNS, DataError
 
 from test_online import _sparse_cols
@@ -440,6 +444,97 @@ def test_train_objective_trace_never_increases(s, extra_atoms, m, N, iterations,
     assert np.all(np.diff(trace) <= 1e-9 * (1.0 + trace[:-1]))
 
 
+def _reference_atom_update_pass(D, Y, X):
+    # atom_update_pass as it was when it rescanned every support slot per atom
+    A = D.atoms.copy()
+    values = X.values.copy()
+    R = residuals(D, Y, X)
+    nonzero = X.occupied() & (values != 0)
+    for j in range(A.shape[1]):
+        used, at = np.nonzero(nonzero & (X.supports == j))
+        if used.size == 0:
+            continue
+        xrow = values[used, at]
+        E = R[used] + np.outer(xrow, A[:, j])
+        g = xrow @ E
+        gnorm = np.linalg.norm(g)
+        if gnorm > 0:
+            A[:, j] = _sign_fix(g / gnorm)
+        xnew = E @ A[:, j]
+        values[used, at] = xnew
+        R[used] = E - np.outer(xnew, A[:, j])
+    return Dictionary(A), SparseCodeMatrix(X.supports, values, X.nnz, X.dim)
+
+
+def _reference_train(Y, cfg):
+    # train as it was when each iteration formed the residual four times:
+    # twice for the keep test, once in the atom update and once for the trace
+    Y = np.asarray(Y, dtype=float)
+    D = init_dictionary(Y, cfg.n_atoms, cfg.seed)
+    trace = np.empty(cfg.iterations)
+    X = None
+    for it in range(cfg.iterations):
+        X_new = batch_code(D, Y, cfg.coding)
+        if X is not None:
+            new = representation_errors(D, Y, X_new) <= representation_errors(D, Y, X)
+            X = SparseCodeMatrix(
+                np.where(new[:, None], X_new.supports, X.supports),
+                np.where(new[:, None], X_new.values, X.values),
+                np.where(new, X_new.nnz, X.nnz),
+                X.dim,
+            )
+        else:
+            X = X_new
+        D, X = _reference_atom_update_pass(D, Y, X)
+        trace[it] = objective(D, Y, X)
+        dead = np.flatnonzero(atom_popularity(X) == 0)
+        if dead.size:
+            worst = np.argsort(-representation_errors(D, Y, X), kind="stable")
+            A = D.atoms.copy()
+            k = 0
+            for j in dead:
+                while k < worst.size and np.linalg.norm(Y[:, worst[k]]) == 0:
+                    k += 1
+                if k >= worst.size:
+                    break
+                A[:, j] = Y[:, worst[k]] / np.linalg.norm(Y[:, worst[k]])
+                k += 1
+            D = Dictionary(A)
+    unused = [int(j) for j in np.flatnonzero(atom_popularity(X) == 0)]
+    return DLResult(D, X, trace, unused)
+
+
+def _train_outcome(fn, Y, cfg):
+    try:
+        res = fn(Y, cfg)
+    except (DataError, NumericalError) as e:
+        return type(e).__name__, str(e)
+    X = res.codes
+    return ([a.tobytes() for a in (res.dictionary.atoms, X.supports, X.values, X.nnz,
+                                   res.objective_trace)], res.unused_atoms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 8), st.integers(2, 8), st.integers(1, 40),
+       st.integers(1, 8), st.lists(st.sampled_from(["data", "zero", "duplicate"]), min_size=1,
+                                   max_size=40),
+       st.integers(1, 6), st.sampled_from([0.0, 0.05, 0.5]), st.integers(0, 2**32 - 1))
+def test_train_keeps_the_bits_of_the_reference_loop(s, extra_atoms, m, N, rank, kinds,
+                                                    iterations, tol, seed):
+    # N below n_atoms pads the dictionary with Gaussian atoms; a rank below
+    # the atom count leaves atoms dead, so they are replaced; tol > 0 gives
+    # padded codes; duplicate columns may give duplicate atoms
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((m, min(rank, m))) @ rng.standard_normal((min(rank, m), N))
+    for i, kind in zip(range(N), kinds):
+        if kind == "zero":
+            Y[:, i] = 0.0
+        elif kind == "duplicate":
+            Y[:, i] = Y[:, rng.integers(N)]
+    cfg = DLConfig(s + extra_atoms, iterations, CodingConfig(s, tol), seed=seed)
+    assert _train_outcome(train, Y, cfg) == _train_outcome(_reference_train, Y, cfg)
+
+
 # cells a CSV may hold for a float: the forms other writers produce
 _CELL_FORMS = [
     lambda v: "%.17g" % v,
@@ -667,6 +762,9 @@ def test_library_calls_leave_inputs_unchanged(s, extra_atoms, extra_rows, seed):
         (subsample, (ds, 1, seed)),
         (addl_run, (Y, ADDLConfig(2, dl, cfg), labels)),
     ]
+    # a Fortran-ordered Y: batch_code's transpose of it is then a view
+    Yf = np.asfortranarray(Y)
+    calls += [(batch_code, (D, Yf, cfg)), (atom_update_pass, (D, Yf, X)), (train, (Yf, dl))]
     for fn, args in calls:
         before = _input_arrays(copy.deepcopy(args))
         fn(*args)
