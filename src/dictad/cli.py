@@ -66,7 +66,7 @@ def _collect_params(args: argparse.Namespace) -> dict:
     params: dict = {}
     if args.config:
         try:
-            with open(args.config) as f:
+            with open(args.config, encoding="utf-8") as f:  # JSON is UTF-8 (RFC 8259)
                 params = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read config file {args.config}: {e.strerror}") from None

@@ -226,12 +226,11 @@ def run_toddler(params: dict, out_dir: Path) -> dict:
     return {"stream": rep.as_dict(), "n_pretrain": n_pre}
 
 
-def _write_labels(out_dir: Path, labels):
+def _filter_outputs(ds: Dataset, labels, trace, out_dir: Path) -> dict:
+    """Write a filter's labels.txt and trace.csv; returns its metrics."""
     with open(out_dir / "labels.txt", "w") as f:
         f.writelines(f"{int(v)}\n" for v in labels)
-
-
-def _filter_metrics(ds: Dataset, labels, trace) -> dict:
+    trace.to_csv(out_dir / "trace.csv")
     metrics = {"n_flagged": int(np.sum(labels)), "iterations": len(trace.records)}
     if ds.labels is not None:
         metrics["confusion"] = confusion(ds.labels, labels).as_dict()
@@ -242,9 +241,7 @@ def run_addl(params: dict, out_dir: Path) -> dict:
     ds = _load_dataset(params)
     cfg = ADDLConfig(params["global_iterations"], _stage_dl(params), _coding(params))
     labels, trace = addl_run(ds.Y, cfg, truth=ds.labels)
-    _write_labels(out_dir, labels)
-    trace.to_csv(out_dir / "trace.csv")
-    return _filter_metrics(ds, labels, trace)
+    return _filter_outputs(ds, labels, trace, out_dir)
 
 
 def run_popularity(params: dict, out_dir: Path) -> dict:
@@ -257,9 +254,7 @@ def run_popularity(params: dict, out_dir: Path) -> dict:
     cfg = PopularityConfig(n_anom, _stage_dl(params), _coding(params),
                            params["max_iterations"], params["literal_set_builder"])
     labels, trace = popularity_filter_run(ds.Y, cfg, truth=ds.labels)
-    _write_labels(out_dir, labels)
-    trace.to_csv(out_dir / "trace.csv")
-    return _filter_metrics(ds, labels, trace)
+    return _filter_outputs(ds, labels, trace, out_dir)
 
 
 def run_synth(params: dict, out_dir: Path) -> dict:

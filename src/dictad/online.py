@@ -20,13 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# The LAPACK gufuncs behind np.linalg.inv and np.linalg.svd(M, compute_uv=False);
-# their wrappers' checks cost about a quarter of the call on the stream's n x n Grams.
-from numpy.linalg._umath_linalg import inv as _inv
-from numpy.linalg._umath_linalg import svd as _svd
 
 from .errors import DataError, NumericalError
-from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, omp
+from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, _lapack, omp
 from .supervised import DiscriminativeModel, classify, load_model_file, save_model_file
 
 # Sherman-Morrison drift grows about 170x per 100 updates at phi = 0.95, so
@@ -76,16 +72,14 @@ class ToddlerOutcome:
     reconstruction_error: float
 
 
-def _svd_nonconvergence(err, flag):
-    raise NumericalError("spectral norm: SVD did not converge")
+# the singular values of a matrix, descending: np.linalg.svd(M, compute_uv=False)
+_svd = _lapack("svd", "d->d", NumericalError, "spectral norm: SVD did not converge")
+# G^-1: np.linalg.inv
+_inverse = _lapack("inv", "d->d", NumericalError, "online Gram matrix became singular")
 
 
-@np.errstate(call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value: LAPACK's SVD gufunc behind np.linalg.svd,
-    called directly under that function's own error state (set per call by
-    the decorator, as for sparse_coding._solve), so the bits of
+    """Largest singular value, through _svd, so the bits of
     np.linalg.norm(M, 2). Non-finite entries raise NumericalError before
     LAPACK sees them: given inf, LAPACK prints a DLASCL error to stderr and
     returns NaN."""
@@ -97,7 +91,7 @@ def spectral_norm(M: np.ndarray) -> float:
         return 0.0
     if not np.isfinite(M).all():
         raise NumericalError("spectral norm of a matrix with non-finite entries")
-    return float(_svd(M, signature="d->d")[0])
+    return float(_svd(M)[0])
 
 
 def _ridge(G: np.ndarray) -> float:
@@ -105,19 +99,6 @@ def _ridge(G: np.ndarray) -> float:
     the diagonal view gives the bits of G.trace(), at about half its cost
     when the call is cold, as in the stream's every-100 restore."""
     return 1e-8 * float(np.add.reduce(G.diagonal())) / G.shape[0]
-
-
-def _singular_gram(err, flag):
-    raise NumericalError("online Gram matrix became singular")
-
-
-@np.errstate(call=_singular_gram, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
-def _inverse(G: np.ndarray) -> np.ndarray:
-    """G^-1 from LAPACK's gufunc behind np.linalg.inv, under that function's
-    own error state (set per call by the decorator, as for spectral_norm), so
-    its bits; a singular G raises NumericalError."""
-    return _inv(G, signature="d->d")
 
 
 def init_state(
@@ -150,10 +131,8 @@ def init_state(
         G += _ridge(G) * np.eye(n)
     if not np.isfinite(G).all():
         raise NumericalError("warmup Gram matrix overflows: the warmup codes are too large")
-    try:
-        Ginv = np.linalg.inv(G)
-    except np.linalg.LinAlgError:
-        raise NumericalError("warmup Gram matrix is singular despite ridge") from None
+    Ginv = _lapack("inv", "d->d", NumericalError,
+                   "warmup Gram matrix is singular despite ridge")(G)
     drift = np.linalg.norm(Ginv @ G - np.eye(n), "fro")
     if not drift <= 1e-6 * n:  # a NaN drift fails too
         raise NumericalError(f"warmup Gram matrix is ill-conditioned (|Ginv G - I| = {drift:.3g})")

@@ -20,10 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# The LAPACK gufunc behind np.linalg.solve for one right-hand side; both OMP
-# paths call it directly through _solve, since the wrapper's checks and
-# conversions cost more than the solve itself on the k x k support Grams.
-from numpy.linalg._umath_linalg import solve1 as _solve1
+from numpy.linalg import _umath_linalg
 
 from .errors import CodingError
 
@@ -166,18 +163,25 @@ def _check_shapes(A: np.ndarray, signal_dim: int, cfg: CodingConfig):
         raise CodingError(f"sparsity {cfg.s} exceeds atom count {A.shape[1]}")
 
 
-def _raise_linalg_error(err, flag):
-    raise np.linalg.LinAlgError
+def _lapack(gufunc: str, signature: str, error: type, *message: str):
+    """A function that calls numpy.linalg._umath_linalg.<gufunc>, the LAPACK
+    gufunc behind an np.linalg function, with that function's bits and error
+    state but not its checks, which cost more than the call on small matrices.
+    The decorator sets that state per call without building an errstate
+    object: over, divide and underflow ignored, and the invalid flag, by
+    which a LAPACK failure reaches numpy, raising error(*message). The
+    gufunc is looked up at each call, so a test can stand one in."""
+    def fail(err, flag):
+        raise error(*message)
+
+    @np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    def call(*arrays):
+        return getattr(_umath_linalg, gufunc)(*arrays, signature=signature)
+    return call
 
 
-@np.errstate(call=_raise_linalg_error, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
-def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """gram^-1 rhs for one system or a stack of them, under np.linalg.solve's
-    own error state: only a singular matrix raises LinAlgError. The decorator
-    sets that state per call, as the context manager would, without building
-    an errstate object per call."""
-    return _solve1(gram, rhs, signature="dd->d")
+# gram^-1 rhs, for one system or a stack; a singular gram raises LinAlgError
+_solve = _lapack("solve1", "dd->d", np.linalg.LinAlgError)
 
 
 def _exit_bound(G: np.ndarray, m: int, s: int, ynorm: float, tol: float):

@@ -20,6 +20,8 @@ from .sparse_coding import CodingConfig, Dictionary, SparseCode
 
 # the layout of model.npz and of the online checkpoint, which extends it
 MODEL_FORMAT_VERSION = 1
+# the dimensions of the arrays of these files that are not scalars
+_NDIM = {"D": 2, "W": 2, "A": 2, "class_of_atom": 1, "G": 2, "Ginv": 2}
 
 
 @dataclass
@@ -119,7 +121,9 @@ def save_model_file(path, model: DiscriminativeModel, **extra):
 def load_model_file(path, kind: str, extra: tuple[str, ...]):
     """Inverse of save_model_file: (model, {name: array} of the extra names).
     DataError when path cannot be read, is not an .npz, lacks an array that a
-    `kind` file ("model" or "state") holds or has another format version."""
+    `kind` file ("model" or "state") holds, holds one of another dimension,
+    of values that are not numbers (policy_kind is text) or of a size that
+    D's atom count does not fit, or has another format version."""
     try:  # np.load leaks the handle it opens when the zip is truncated
         with open(path, "rb") as f:
             z = np.load(f)
@@ -130,12 +134,27 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
         raise DataError(f"cannot read {path}: {e.strerror}") from None
     except (ValueError, zipfile.BadZipFile):  # e.g. a CSV: numpy refuses it as pickled data
         raise DataError(f"{path} is not a {kind} file (.npz)") from None
-    missing = [k for k in ("format_version", "D", "W", "A", "class_of_atom", *extra)
-               if k not in arrays]
+    names = ("format_version", "D", "W", "A", "class_of_atom", *extra)
+    missing = [k for k in names if k not in arrays]
     if missing:
         raise DataError(f"{path} is not a {kind} file: no {', '.join(missing)}")
-    if int(arrays["format_version"]) != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported {kind} format version {int(arrays['format_version'])}")
+    for k in names:
+        a, ndim = arrays[k], _NDIM.get(k, 0)
+        if a.ndim != ndim:
+            raise DataError(f"{path} is not a {kind} file: {k} is {a.ndim}-d, not {ndim}-d")
+        if a.dtype.kind not in "iuf" and k != "policy_kind":
+            raise DataError(f"{path} is not a {kind} file: {k} holds {a.dtype} values, "
+                            "not numbers")
+        if k == "format_version" and int(a) != MODEL_FORMAT_VERSION:
+            raise DataError(f"unsupported {kind} format version {int(a)}")
+    if arrays["D"].size == 0:
+        raise DataError(f"{path} is not a {kind} file: D is empty")
+    n = arrays["D"].shape[1]
+    for k in (k for k in names[2:] if k in _NDIM):
+        want = {"W": (len(arrays["W"]), n), "class_of_atom": (n,)}.get(k, (n, n))
+        if arrays[k].shape != want:
+            raise DataError(f"{path} is not a {kind} file: {k} has shape "
+                            f"{arrays[k].shape}, D has {n} atoms")
     model = DiscriminativeModel(Dictionary(arrays["D"]), arrays["W"], arrays["A"],
                                 arrays["class_of_atom"].astype(int))
     return model, {k: arrays[k] for k in extra}

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dictad
 from dictad import ConfusionReport, DataError, Dataset, confusion, run_experiment
 from dictad.anomaly import ADDLConfig, addl_run
 from dictad.cli import main
@@ -617,6 +622,22 @@ def test_cli_non_utf8_input_exit_3(tmp_path, capsys, data_bytes, preds_bytes):
     assert err.startswith("data error: ")
     assert err.count("\n") == 1
     assert "not UTF-8 text" in err
+
+
+def test_cli_reads_the_config_as_utf8_in_any_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259), whatever the locale's encoding: here ASCII
+    data, preds, config = tmp_path / "data.csv", tmp_path / "preds.txt", tmp_path / "cfg.json"
+    data.write_bytes("a,Klasse_é\n1,0\n2,1\n".encode())
+    preds.write_text("0\n1\n")
+    config.write_bytes(json.dumps({"dataset": str(data), "schema": "generic",
+                                   "label_column": "Klasse_é", "predictions": str(preds)},
+                                  ensure_ascii=False).encode())
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(dictad.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "dictad.cli", "eval", "--config", str(config),
+                           "--out", str(tmp_path / "o")], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "o" / "result.json").read_text())["metrics"]["accuracy"] == 1.0
 
 
 def test_cli_eval_subsample_ratio_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from dictad import (
     toddler_step,
 )
 
-from dictad import online
+from dictad import sparse_coding
 from dictad.experiments import run_experiment
 from helpers import planted_instance
 
@@ -82,10 +83,19 @@ def test_init_state_non_finite_codes_rejected(bad):
 def test_init_state_nan_drift_rejected(monkeypatch):
     # a NaN drift ||Ginv G - I|| fails the test instead of passing it
     D, _, _ = planted_instance(6, 4, 4, 2, seed=0)
-    monkeypatch.setattr(np.linalg, "inv", lambda G: np.full_like(G, np.nan))
+    monkeypatch.setattr(sparse_coding, "_umath_linalg",
+                        SimpleNamespace(inv=lambda G, signature: np.full_like(G, np.nan)))
     with pytest.raises(NumericalError, match="ill-conditioned"):
         init_state(_model(D), D @ np.eye(4), SparseCodeMatrix.from_dense(np.eye(4)), phi=1.0,
                    coding=CodingConfig(2))
+
+
+def test_init_state_all_zero_codes_rejected():
+    # G = 0 and so is its ridge: LAPACK finds G singular
+    D, _, _ = planted_instance(6, 4, 4, 2, seed=0)
+    X = SparseCodeMatrix.from_dense(np.zeros((4, 4)))
+    with pytest.raises(NumericalError, match="^warmup Gram matrix is singular despite ridge$"):
+        init_state(_model(D), D @ X.to_dense(), X, phi=1.0, coding=CodingConfig(2))
 
 
 def test_init_state_overflowing_gram_rejected():
@@ -367,9 +377,24 @@ _STATE_ARRAYS = ["G", "Ginv", "phi", "policy_kind", "policy_lambda1", "policy_la
                  "samples_seen", "coding_s", "coding_residual_tol"]
 
 
+# files that replace arrays of the model (sparsity) or the checkpoint (the rest)
+_MALFORMED = {
+    "vector-version": {"format_version": np.array([1, 1])},
+    "vector-sparsity": {"sparsity": np.array([2, 3])},
+    "text-D": {"D": np.array([["a", "b"], ["c", "d"]])},
+    "empty-D": {"D": np.zeros((10, 0))},
+    "wide-W": {"W": np.zeros((2, 9))},
+    "text-phi": {"phi": np.array("0.95")},
+    "square-class-map": {"class_of_atom": np.zeros((8, 8), dtype=int)},
+    "short-class-map": {"class_of_atom": np.zeros(7, dtype=int)},
+    "tall-Ginv": {"Ginv": np.eye(9, 8)},
+}
+
+
 def _model_files(tmp_path):
-    """A model.npz and a checkpoint.npz of one toy state, the checkpoint's
-    first half, the checkpoint with the next format version and a dataset CSV."""
+    """A model.npz and a checkpoint.npz of one toy state with 8 atoms, the
+    checkpoint's first half, the checkpoint with the next format version,
+    the _MALFORMED files and a dataset CSV."""
     st, _ = _toy_state(seed=18)
     save_model(tmp_path / "model.npz", st.model, sparsity=2)
     save_state(tmp_path / "checkpoint.npz", st)
@@ -378,6 +403,9 @@ def _model_files(tmp_path):
     with np.load(tmp_path / "checkpoint.npz") as z:
         arrays = {k: z[k] for k in z.files}
     np.savez(tmp_path / "next-version.npz", **{**arrays, "format_version": np.int64(2)})
+    for name, bad in _MALFORMED.items():
+        with np.load(tmp_path / ("model.npz" if "sparsity" in bad else "checkpoint.npz")) as z:
+            np.savez(tmp_path / f"{name}.npz", **{**{k: z[k] for k in z.files}, **bad})
     (tmp_path / "dataset.csv").write_text("a,Class\n1,0\n2,1\n")
     return {"model": load_model, "state": load_state}
 
@@ -398,8 +426,18 @@ def test_model_files_list_the_model_arrays_first(tmp_path):
     ("state", "truncated.npz", r"is not a state file \(.npz\)$"),
     ("state", "missing.npz", "^cannot read .*missing.npz: No such file"),
     ("state", "next-version.npz", "^unsupported state format version 2$"),
+    ("state", "vector-version.npz", "is not a state file: format_version is 1-d, not 0-d$"),
+    ("model", "vector-sparsity.npz", "is not a model file: sparsity is 1-d, not 0-d$"),
+    ("state", "text-D.npz", "is not a state file: D holds <U1 values, not numbers$"),
+    ("state", "empty-D.npz", "is not a state file: D is empty$"),
+    ("state", "wide-W.npz", r"is not a state file: W has shape \(2, 9\), D has 8 atoms$"),
+    ("state", "text-phi.npz", "is not a state file: phi holds <U4 values, not numbers$"),
+    ("state", "square-class-map.npz", "is not a state file: class_of_atom is 2-d, not 1-d$"),
+    ("state", "short-class-map.npz",
+     r"is not a state file: class_of_atom has shape \(7,\), D has 8 atoms$"),
+    ("state", "tall-Ginv.npz", r"is not a state file: Ginv has shape \(9, 8\), D has 8 atoms$"),
 ], ids=["model-as-state", "state-as-model", "csv-as-state", "csv-as-model", "truncated",
-        "missing", "state-version"])
+        "missing", "state-version", *_MALFORMED])
 def test_load_wrong_file_raises_data_error(tmp_path, kind, name, message):
     loaders = _model_files(tmp_path)
     with pytest.raises(DataError, match=message):
@@ -471,7 +509,8 @@ def test_spectral_norm_keeps_the_error_state_and_warns_nothing(capfd, monkeypatc
         with pytest.raises(NumericalError, match="3-dimensional"):
             spectral_norm(np.ones((2, 2, 2)))
         # LAPACK's non-convergence reaches numpy as the invalid flag
-        monkeypatch.setattr(online, "_svd", lambda M, signature: np.full(1, np.inf) - np.inf)
+        monkeypatch.setattr(sparse_coding, "_umath_linalg", SimpleNamespace(
+            svd=lambda M, signature: np.full(1, np.inf) - np.inf))
         with pytest.raises(NumericalError, match="^spectral norm: SVD did not converge$"):
             spectral_norm(np.eye(3))
     assert (np.geterr(), np.geterrcall()) == before

@@ -1,4 +1,6 @@
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from dictad import (
     CodingConfig,
     CodingError,
     Dictionary,
+    NumericalError,
     SparseCode,
     SparseCodeMatrix,
     atom_popularity,
@@ -15,6 +18,7 @@ from dictad import (
     representation_errors,
 )
 
+from dictad import online, sparse_coding
 from helpers import planted_instance, random_dictionary
 
 
@@ -260,3 +264,47 @@ def test_strided_signal_codes_like_batch_column():
         x = omp(D, Y[:, i], CodingConfig(1))
         assert np.array_equal(x.support, c.support)
         assert np.array_equal(x.values, c.values)
+
+
+@pytest.mark.parametrize("made, public, name, signature, error, message", [
+    (sparse_coding._solve, np.linalg.solve, "solve1", "dd->d", np.linalg.LinAlgError, ()),
+    (online._inverse, np.linalg.inv, "inv", "d->d", NumericalError,
+     ("online Gram matrix became singular",)),
+    (online._svd, lambda M: np.linalg.svd(M, compute_uv=False), "svd", "d->d", NumericalError,
+     ("spectral norm: SVD did not converge",)),
+], ids=["solve", "inv", "svd"])
+def test_lapack_calls_keep_the_wrappers_bits_and_error_state(monkeypatch, made, public, name,
+                                                             signature, error, message):
+    rng = np.random.default_rng(20)
+    M = rng.standard_normal((5, 5))
+    arrays = (M @ M.T + np.eye(5), rng.standard_normal(5))[:signature.index("-")]
+    signatures = []
+
+    def invalid(*arrays, signature):  # LAPACK's failure reaches numpy as the invalid flag
+        signatures.append(signature)
+        return np.full(1, np.inf) - np.inf
+
+    before = (np.geterr(), np.geterrcall())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e-300, 1e300):
+            args = [a * scale for a in arrays]
+            want = public(*args).tobytes()
+            assert made(*args).tobytes() == want
+            with np.errstate(all="raise"):
+                assert made(*args).tobytes() == want
+        monkeypatch.setattr(sparse_coding, "_umath_linalg", SimpleNamespace(**{name: invalid}))
+        for state in ({}, {"all": "raise"}):
+            with np.errstate(**state), pytest.raises(error) as e:
+                made(*arrays)
+            assert type(e.value) is error and e.value.args == message
+    assert signatures == [signature, signature]
+    assert (np.geterr(), np.geterrcall()) == before
+
+
+def test_only_sparse_coding_calls_numpy_lapack_gufuncs():
+    # the np.linalg wrappers are bypassed in one place, sparse_coding._lapack
+    modules = sorted(Path(sparse_coding.__file__).parent.glob("*.py"))
+    for token in ("_umath_linalg", "np.errstate(call="):
+        users = [p.name for p in modules if token in p.read_text(encoding="utf-8")]
+        assert users == ["sparse_coding.py"], token
