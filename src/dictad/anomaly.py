@@ -74,7 +74,6 @@ class PopularityConfig:
     per_stage: DLConfig
     coding: CodingConfig
     max_iterations: int = 100
-    literal_set_builder: bool = False
 
     def __post_init__(self):
         if self.n_anomalies < 1:
@@ -135,11 +134,10 @@ def addl_run(Y: np.ndarray, cfg: ADDLConfig, truth=None):
 def popularity_filter_run(Y: np.ndarray, cfg: PopularityConfig, truth=None):
     """Atom-popularity filter with a fresh dictionary per iteration.
 
-    Default semantics keep a candidate only if its support touches a rare
-    atom (popularity <= n_anomalies); signals represented exclusively by
-    popular atoms are released as normal. literal_set_builder inverts this
-    and keeps signals touching any popular atom. Stops when the candidate
-    set is <= n_anomalies, stops shrinking, or max_iterations is hit."""
+    A candidate is kept only if its support touches a rare atom
+    (popularity <= n_anomalies); signals represented exclusively by popular
+    atoms are released as normal. Stops when the candidate set is
+    <= n_anomalies, stops shrinking, or max_iterations is hit."""
     Y = np.asarray(Y, dtype=float)
     N = Y.shape[1]
     if cfg.n_anomalies >= N:
@@ -155,8 +153,8 @@ def popularity_filter_run(Y: np.ndarray, cfg: PopularityConfig, truth=None):
         X = batch_code(D, Y[:, active], cfg.coding)
         errs = representation_errors(D, Y[:, active], X)
         p = atom_popularity(X)
-        marked = (p > cfg.n_anomalies) if cfg.literal_set_builder else (p <= cfg.n_anomalies)
-        active = active[np.any(marked[X.supports] & X.occupied(), axis=1)]
+        rare = p <= cfg.n_anomalies
+        active = active[np.any(rare[X.supports] & X.occupied(), axis=1)]
         trace.append(it + 1, active, truth, float(np.mean(errs)), N)
         if active.size <= cfg.n_anomalies or active.size == size_before:
             break

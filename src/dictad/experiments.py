@@ -64,8 +64,6 @@ PARAMS = (
     Param("n_anomalies", int, "[1, inf)", None, ("popularity",),
           "signals to flag; default: the labeled anomaly count"),
     Param("max_iterations", int, "[1, inf)", 100, ("popularity",), "filter iteration cap"),
-    Param("literal_set_builder", bool, None, False, ("popularity",),
-          "keep signals that touch a popular atom instead of a rare one"),
     Param("n_normal", int, "[1, inf)", None, ("synth",), "normal samples", "n_normal"),
     Param("n_anomaly", int, "[0, inf)", None, ("synth",), "anomalies, <= n_normal", "n_anomaly"),
     Param("features", int, "[1, inf)", None, ("synth",), "signal dimension", "m"),
@@ -251,8 +249,7 @@ def run_popularity(params: dict, out_dir: Path) -> dict:
         if ds.labels is None:
             raise ConfigError("n_anomalies is required when the dataset has no labels")
         n_anom = int(np.sum(ds.labels == 1))
-    cfg = PopularityConfig(n_anom, _stage_dl(params), _coding(params),
-                           params["max_iterations"], params["literal_set_builder"])
+    cfg = PopularityConfig(n_anom, _stage_dl(params), _coding(params), params["max_iterations"])
     labels, trace = popularity_filter_run(ds.Y, cfg, truth=ds.labels)
     return _filter_outputs(ds, labels, trace, out_dir)
 

@@ -1,17 +1,16 @@
 """Online dictionary and classifier updates (RLS + Tikhonov-anchored step).
 
 The recursive least-squares dictionary update keeps the Gram matrix
-G = sum phi^(t-i) x_i x_i^T and its inverse, both rank-one updated per
-sample. A full online step codes the sample, classifies it with the
-pre-update classifier, Tikhonov-updates W and A toward the estimated
-indicators, then applies the rank-one dictionary update. Every sample
-updates the model; there is no confidence gating. Atoms are not
-renormalized (that would invalidate G), so nothing anchors their scale: on
-long streams the atom norms grow by orders of magnitude while the codes, G
-and the gram-norm lambdas shrink to match. Forgetting also decays the ridge
-that keeps G invertible, and the diagonal entry of an atom the stream stops
-using, until Ginv overflows; so every 100 updates the RLS step restores the
-ridge and recomputes Ginv exactly, which also clears Sherman-Morrison drift.
+G = sum phi^(t-i) x_i x_i^T, rank-one updated per sample, and solves it for
+each update's gain; no inverse of G is kept. A full online step codes the
+sample, classifies it with the pre-update classifier, Tikhonov-updates W
+and A toward the estimated indicators, then applies the rank-one dictionary
+update. Every sample updates the model; there is no confidence gating.
+Atoms are not renormalized (that would invalidate G), so nothing anchors
+their scale: on long streams the atom norms grow by orders of magnitude
+while the codes, G and the gram-norm lambdas shrink to match. Forgetting
+also decays the ridge that keeps G invertible, and the diagonal entry of an
+atom the stream stops using, so every 100 updates the RLS step restores it.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from .errors import DataError, NumericalError
 from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, _lapack, omp
 from .supervised import DiscriminativeModel, classify, load_model_file, save_model_file
 
-# Sherman-Morrison drift grows about 170x per 100 updates at phi = 0.95, so
-# this keeps ||Ginv G - I||_F far below 1e-6*n at any point.
+# updates between restores of the ridge that forgetting decays: at phi = 0.95
+# it decays to 0.95^100 ~ 6e-3 of itself in that time
 _RIDGE_EVERY = 100
 
 LAMBDA_POLICIES = ("gram-norm", "model-norms", "fixed")
@@ -55,11 +54,15 @@ class LambdaPolicy:
 class OnlineState:
     model: DiscriminativeModel
     G: np.ndarray
-    Ginv: np.ndarray
     phi: float
     lambda_policy: LambdaPolicy
     samples_seen: int
     coding: CodingConfig
+
+    @property
+    def Ginv(self) -> np.ndarray:
+        """G^-1, inverted from G when read: the stream itself never forms it."""
+        return _inverse(self.G)
 
 
 @dataclass
@@ -76,6 +79,8 @@ class ToddlerOutcome:
 _svd = _lapack("svd", "d->d", NumericalError, "spectral norm: SVD did not converge")
 # G^-1: np.linalg.inv
 _inverse = _lapack("inv", "d->d", NumericalError, "online Gram matrix became singular")
+# the RLS gain G^-1 x: np.linalg.solve(G, x)
+_gain = _lapack("solve1", "dd->d", NumericalError, "online Gram matrix became singular")
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -111,11 +116,11 @@ def init_state(
     coding: CodingConfig,
 ) -> OnlineState:
     """Build the online state from pretraining codes: G = X X^T plus a small
-    ridge (1e-8 times its mean diagonal) for conditioning, Ginv its exact
-    inverse. The ridge stays in G for the whole stream, so at phi = 1 RLS
-    solves the ridged least-squares problem, not the plain one. The state
-    owns a copy of the model, so streaming never changes the caller's
-    pretrained model."""
+    ridge (1e-8 times its mean diagonal) for conditioning, refused if G is
+    still singular or ill-conditioned. The ridge stays in G for the whole
+    stream, so at phi = 1 RLS solves the ridged least-squares problem, not
+    the plain one. The state owns a copy of the model, so streaming never
+    changes the caller's pretrained model."""
     if warmup_X.n_columns == 0:
         raise DataError("empty warmup: G is undefined")
     if warmup_X.dim != model.D.n:
@@ -138,28 +143,21 @@ def init_state(
         raise NumericalError(f"warmup Gram matrix is ill-conditioned (|Ginv G - I| = {drift:.3g})")
     model = DiscriminativeModel(Dictionary(model.D.atoms.copy()), model.W.copy(),
                                 model.A.copy(), model.class_of_atom.copy())
-    return OnlineState(model, G, Ginv, phi, lambda_policy, warmup_X.n_columns, coding)
+    return OnlineState(model, G, phi, lambda_policy, warmup_X.n_columns, coding)
 
 
 def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> float:
     """Rank-one recursive least-squares dictionary update with forgetting:
-    D absorbs the new sample, G <- phi G + x x^T and Ginv follows by
-    Sherman-Morrison. Every 100 updates the ridge removed by forgetting is
-    added back to G and Ginv is recomputed exactly; a non-finite G, Ginv or
-    D at that point raises NumericalError. Updates state in place and
-    returns the a-priori error ||y - D x|| under the pre-update D."""
+    G <- phi G + x x^T, then D absorbs the a-priori residual r = y - D x as
+    D += r u^T, with the gain u = G^-1 x solved on the new G (a singular G
+    raises NumericalError). Every 100 updates the ridge removed by
+    forgetting is added back to G; a non-finite G or D at that point raises
+    NumericalError. Updates state in place and returns ||r||."""
     xd = x.to_dense()
-    u = (state.Ginv @ xd) / state.phi
-    denom = 1.0 + float(xd @ u)
-    if denom <= 0.0:
-        raise NumericalError("nonpositive RLS gain denominator: corrupted online state")
-    alpha = 1.0 / denom
     r = np.asarray(y, dtype=float) - state.model.D.atoms @ xd
-    state.model.D.atoms += alpha * (r[:, None] * u)
     state.G *= state.phi
     state.G += xd[:, None] * xd
-    state.Ginv /= state.phi
-    state.Ginv -= alpha * (u[:, None] * u)
+    state.model.D.atoms += r[:, None] * _gain(state.G, xd)
     state.samples_seen += 1
     if state.samples_seen % _RIDGE_EVERY == 0:
         # G += c I with its bits: c * 0.0 everywhere, as the identity's zeros
@@ -170,9 +168,7 @@ def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> float:
         ridged = state.G.diagonal() + c
         state.G += c * 0.0
         state.G.flat[::state.G.shape[0] + 1] = ridged
-        state.Ginv = _inverse(state.G)
-        if not (np.isfinite(state.G).all() and np.isfinite(state.Ginv).all()
-                and np.isfinite(state.model.D.atoms).all()):
+        if not (np.isfinite(state.G).all() and np.isfinite(state.model.D.atoms).all()):
             raise NumericalError(
                 f"online state became non-finite after {state.samples_seen} samples"
             )
@@ -222,7 +218,6 @@ def save_state(path, state: OnlineState):
         path,
         state.model,
         G=state.G,
-        Ginv=state.Ginv,
         phi=np.float64(state.phi),
         policy_kind=np.array(state.lambda_policy.kind),
         policy_lambda1=np.float64(state.lambda_policy.lambda1),
@@ -235,10 +230,10 @@ def save_state(path, state: OnlineState):
 
 def load_state(path) -> OnlineState:
     model, z = load_model_file(path, "state", (
-        "G", "Ginv", "phi", "policy_kind", "policy_lambda1", "policy_lambda2", "samples_seen",
+        "G", "phi", "policy_kind", "policy_lambda1", "policy_lambda2", "samples_seen",
         "coding_s", "coding_residual_tol"))
     policy = LambdaPolicy(
         str(z["policy_kind"]), float(z["policy_lambda1"]), float(z["policy_lambda2"])
     )
-    return OnlineState(model, z["G"], z["Ginv"], float(z["phi"]), policy, int(z["samples_seen"]),
+    return OnlineState(model, z["G"], float(z["phi"]), policy, int(z["samples_seen"]),
                        CodingConfig(int(z["coding_s"]), float(z["coding_residual_tol"])))

@@ -21,7 +21,7 @@ from .sparse_coding import CodingConfig, Dictionary, SparseCode
 # the layout of model.npz and of the online checkpoint, which extends it
 MODEL_FORMAT_VERSION = 1
 # the dimensions of the arrays of these files that are not scalars
-_NDIM = {"D": 2, "W": 2, "A": 2, "class_of_atom": 1, "G": 2, "Ginv": 2}
+_NDIM = {"D": 2, "W": 2, "A": 2, "class_of_atom": 1, "G": 2}
 
 
 @dataclass
@@ -123,7 +123,8 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
     DataError when path cannot be read, is not an .npz, lacks an array that a
     `kind` file ("model" or "state") holds, holds one of another dimension,
     of values that are not numbers (policy_kind is text) or of a size that
-    D's atom count does not fit, or has another format version."""
+    D's atom count does not fit, has an empty D or W, or has another format
+    version."""
     try:  # np.load leaks the handle it opens when the zip is truncated
         with open(path, "rb") as f:
             z = np.load(f)
@@ -147,8 +148,9 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
                             "not numbers")
         if k == "format_version" and int(a) != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported {kind} format version {int(a)}")
-    if arrays["D"].size == 0:
-        raise DataError(f"{path} is not a {kind} file: D is empty")
+    for k in ("D", "W"):  # an empty W is a classifier of no classes
+        if arrays[k].size == 0:
+            raise DataError(f"{path} is not a {kind} file: {k} is empty")
     n = arrays["D"].shape[1]
     for k in (k for k in names[2:] if k in _NDIM):
         want = {"W": (len(arrays["W"]), n), "class_of_atom": (n,)}.get(k, (n, n))

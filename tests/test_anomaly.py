@@ -88,20 +88,15 @@ def test_popularity_monotone_shrinkage():
     assert all(b <= a for a, b in zip(cards, cards[1:]))
 
 
-def test_popularity_literal_semantics_inverts_selection():
+def test_popularity_keeps_the_signal_on_a_rare_atom():
     # two clusters: 9 copies of one signal (popular atom), 1 odd one out
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0, 0.0])
     Y = np.column_stack([a] * 9 + [b])
     stage = _stage(n_atoms=2, iters=3, s=1, seed=11)
-    default_cfg = PopularityConfig(2, stage, CodingConfig(1), max_iterations=5)
-    labels, _ = popularity_filter_run(Y, default_cfg)
+    labels, _ = popularity_filter_run(Y, PopularityConfig(2, stage, CodingConfig(1),
+                                                          max_iterations=5))
     assert labels[-1] == 1 and labels[:9].sum() == 0
-    literal_cfg = PopularityConfig(2, stage, CodingConfig(1), max_iterations=5,
-                                   literal_set_builder=True)
-    labels_lit, _ = popularity_filter_run(Y, literal_cfg)
-    # the literal set-builder keeps signals touching popular atoms instead
-    assert labels_lit[:9].sum() == 9 and labels_lit[-1] == 0
 
 
 def test_popularity_requires_na_below_sample_count():

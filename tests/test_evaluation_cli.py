@@ -269,8 +269,7 @@ _LEARNER_KEYS = _DATA_KEYS | {"subsample_ratio", "sparsity", "residual_tol", "dl
     ("synth", {}, {"seed", "synth"}),
     ("eval", {}, _DATA_KEYS | {"predictions"}),
     ("addl", {}, _LEARNER_KEYS | {"stage_atoms", "global_iterations"}),
-    ("popularity", {}, _LEARNER_KEYS | {"stage_atoms", "n_anomalies", "max_iterations",
-                                        "literal_set_builder"}),
+    ("popularity", {}, _LEARNER_KEYS | {"stage_atoms", "n_anomalies", "max_iterations"}),
     ("pretrain", {}, _LEARNER_KEYS | {"alpha", "beta", "atoms_per_class"}),
     ("toddler", {}, _LEARNER_KEYS | {"alpha", "beta", "atoms_per_class", "phi",
                                      "lambda_policy", "lambda1", "lambda2", "pretrain_fraction"}),
@@ -510,8 +509,7 @@ def test_cli_flag_surface():
         "toddler": _SUPERVISED_FLAGS | {"--phi", "--lambda-policy", "--lambda1", "--lambda2",
                                         "--pretrain-fraction"},
         "addl": _LEARNER_FLAGS | {"--stage-atoms", "--global-iterations"},
-        "popularity": _LEARNER_FLAGS | {"--stage-atoms", "--n-anomalies", "--max-iterations",
-                                        "--literal-set-builder"},
+        "popularity": _LEARNER_FLAGS | {"--stage-atoms", "--n-anomalies", "--max-iterations"},
         "synth": {"--n-normal", "--n-anomaly", "--features", "--normal-atoms",
                   "--anomaly-atoms", "--s-gen", "--noise-sigma"},
         "eval": _DATA_FLAGS | {"--predictions"},

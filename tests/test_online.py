@@ -156,13 +156,66 @@ def test_rls_streaming_equals_batch_least_squares():
     assert rel < 1e-8
 
 
-def test_rls_corrupted_state_detected():
+def test_rls_corrupted_state_detected(capfd):
+    # a zero G, then x x^T, is singular at an update that is not a restore
     D, _, _ = planted_instance(6, 4, 4, 2, seed=4)
     X = SparseCodeMatrix.from_dense(np.eye(4))
     st = init_state(_model(D), D @ np.eye(4), X, phi=1.0, coding=CodingConfig(2))
-    st.Ginv = -10.0 * np.eye(4)
-    with pytest.raises(NumericalError):
+    st.G[:] = 0.0
+    st.samples_seen = 5
+    with pytest.raises(NumericalError, match="^online Gram matrix became singular$"):
         rls_update(st, np.zeros(6), SparseCode([0], [1.0], 4))
+    assert capfd.readouterr().err == ""
+
+
+def _small_phi_stream(phi, unused, seed):
+    """A state at forgetting factor phi (m = 8, s = 2, n = 6) whose warm-up
+    and stream never use the last `unused` atoms, and the stream's updates."""
+    rng = np.random.default_rng(seed)
+    m, s, n = 8, 2, 6
+    k = n - unused  # atoms that the warm-up and the stream use
+    Dt = rng.standard_normal((m, n))
+    Xw = np.vstack([_sparse_cols(rng, k, s, 20), np.zeros((unused, 20))])
+    st = init_state(_model(Dt, c=1), Dt @ Xw, SparseCodeMatrix.from_dense(Xw), phi=phi,
+                    coding=CodingConfig(s))
+    updates = []
+    for _ in range(1500):
+        x = SparseCode(rng.choice(k, s, replace=False), rng.standard_normal(s), n)
+        updates.append((Dt @ x.to_dense() + 0.05 * rng.standard_normal(m), x))
+    return st, updates
+
+
+@pytest.mark.parametrize("phi", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("unused", [0, 1, 3])
+def test_rls_streams_at_small_forgetting_factors(phi, unused):
+    # strong forgetting leaves G near the sum of the last few x x^T, and the
+    # stream goes on with no error, no numpy warning and a finite D
+    st, updates = _small_phi_stream(phi, unused, seed=int(phi * 100) + unused)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y, x in updates:
+            rls_update(st, y, x)
+    assert st.samples_seen == 1520
+    assert np.isfinite(st.model.D.atoms).all()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rls_at_phi_0_01_streams_or_refuses_without_corrupting(seed):
+    # At phi = 0.01 two atoms unused for ~8 updates keep diagonals below
+    # eps * x x^T, so an update that uses both can leave G singular in
+    # floating point. The update then refuses before D moves.
+    st, updates = _small_phi_stream(0.01, seed % 3, seed=100 + seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y, x in updates:
+            D = st.model.D.atoms.copy()
+            try:
+                rls_update(st, y, x)
+            except NumericalError as e:
+                assert str(e) == "online Gram matrix became singular"
+                assert np.array_equal(st.model.D.atoms, D)
+                break
+    assert np.isfinite(st.model.D.atoms).all()
 
 
 def test_rls_inverse_drift_bounded_with_forgetting():
@@ -365,15 +418,26 @@ def test_state_checkpoint_round_trip(tmp_path):
     assert np.array_equal(st2.model.W, st.model.W)
     assert np.array_equal(st2.model.A, st.model.A)
     assert np.array_equal(st2.G, st.G)
-    assert np.array_equal(st2.Ginv, st.Ginv)
     assert st2.phi == st.phi
     assert st2.lambda_policy == st.lambda_policy
     assert st2.samples_seen == st.samples_seen
     assert st2.coding == st.coding
 
 
+def test_load_state_reads_a_checkpoint_that_holds_Ginv(tmp_path):
+    # the format of a state that kept G's inverse beside G: Ginv is ignored
+    st, _ = _toy_state(seed=14, phi=0.95)
+    save_state(tmp_path / "state.npz", st)
+    with np.load(tmp_path / "state.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    np.savez(tmp_path / "old.npz", **arrays, Ginv=np.linalg.inv(st.G))
+    old = load_state(tmp_path / "old.npz")
+    assert np.array_equal(old.G, st.G)
+    assert (old.phi, old.samples_seen) == (st.phi, st.samples_seen)
+
+
 _MODEL_ARRAYS = ["format_version", "D", "W", "A", "class_of_atom"]
-_STATE_ARRAYS = ["G", "Ginv", "phi", "policy_kind", "policy_lambda1", "policy_lambda2",
+_STATE_ARRAYS = ["G", "phi", "policy_kind", "policy_lambda1", "policy_lambda2",
                  "samples_seen", "coding_s", "coding_residual_tol"]
 
 
@@ -387,7 +451,8 @@ _MALFORMED = {
     "text-phi": {"phi": np.array("0.95")},
     "square-class-map": {"class_of_atom": np.zeros((8, 8), dtype=int)},
     "short-class-map": {"class_of_atom": np.zeros(7, dtype=int)},
-    "tall-Ginv": {"Ginv": np.eye(9, 8)},
+    "tall-G": {"G": np.eye(9, 8)},
+    "no-classes-W": {"W": np.zeros((0, 8))},
 }
 
 
@@ -419,7 +484,7 @@ def test_model_files_list_the_model_arrays_first(tmp_path):
 
 
 @pytest.mark.parametrize("kind, name, message", [
-    ("state", "model.npz", "is not a state file: no G, Ginv, phi, policy_kind"),
+    ("state", "model.npz", "is not a state file: no G, phi, policy_kind"),
     ("model", "checkpoint.npz", "is not a model file: no sparsity$"),
     ("state", "dataset.csv", r"is not a state file \(.npz\)$"),
     ("model", "dataset.csv", r"is not a model file \(.npz\)$"),
@@ -435,7 +500,8 @@ def test_model_files_list_the_model_arrays_first(tmp_path):
     ("state", "square-class-map.npz", "is not a state file: class_of_atom is 2-d, not 1-d$"),
     ("state", "short-class-map.npz",
      r"is not a state file: class_of_atom has shape \(7,\), D has 8 atoms$"),
-    ("state", "tall-Ginv.npz", r"is not a state file: Ginv has shape \(9, 8\), D has 8 atoms$"),
+    ("state", "tall-G.npz", r"is not a state file: G has shape \(9, 8\), D has 8 atoms$"),
+    ("state", "no-classes-W.npz", "is not a state file: W is empty$"),
 ], ids=["model-as-state", "state-as-model", "csv-as-state", "csv-as-model", "truncated",
         "missing", "state-version", *_MALFORMED])
 def test_load_wrong_file_raises_data_error(tmp_path, kind, name, message):
@@ -531,7 +597,7 @@ def test_toddler_step_non_finite_gram_raises(capfd):
 
 
 def _state_before_restore():
-    # the next update is the 100th: it restores the ridge and re-inverts G
+    # the next update is the 100th: it restores the ridge and checks G and D
     D, _, _ = planted_instance(6, 4, 4, 2, seed=19)
     st = init_state(_model(D), D @ np.eye(4), SparseCodeMatrix.from_dense(np.eye(4)), phi=0.95,
                     coding=CodingConfig(2))
@@ -540,7 +606,7 @@ def _state_before_restore():
 
 
 def test_rls_restore_singular_gram_raises_without_lapack_output(capfd):
-    # G = 0 has a zero ridge, so the restore inverts a singular matrix
+    # G = 0 stays 0 under an empty code's x x^T, and the gain's solve meets it
     st = _state_before_restore()
     st.G[:] = 0.0
     with pytest.raises(NumericalError, match="^online Gram matrix became singular$"):
@@ -572,7 +638,7 @@ def test_toddler_run_bytes_pinned(tmp_path):
     with np.load(tmp_path / "checkpoint.npz") as z:
         for key in sorted(z.files):
             h.update(key.encode() + z[key].tobytes())
-    assert h.hexdigest() == "c3246ea6ac56de6f8e04d264aa9665d1cdc3681024584c0e32272e68416bfe8b"
+    assert h.hexdigest() == "6946bdbe18b12e6607bdbf35a7d39ab14f70213adf05207450c72b790f6a65a0"
 
 
 def test_toddler_run_bytes_pinned_at_bench_shapes(tmp_path):
@@ -589,4 +655,4 @@ def test_toddler_run_bytes_pinned_at_bench_shapes(tmp_path):
         assert int(z["samples_seen"]) == 400
         for key in sorted(z.files):
             h.update(key.encode() + z[key].tobytes())
-    assert h.hexdigest() == "e25e3502006c090226978c2ba77d4fd7f15538f7fd4d232867403b15973bea8c"
+    assert h.hexdigest() == "d95bd2fea50836cbc1d1754fe368c77c68e87a03a5620f528f3461e970b522d5"

@@ -2,9 +2,10 @@
 statistics (m, n, s, N), including all-zero and exactly representable
 signals; both OMP paths against the kernel that tests every early exit on
 the exact residual; the phi = 1 RLS stream against batch least squares; the
-RLS ridge restore against its np.eye/np.linalg.inv form; the AK-SVD
-objective trace, and train's bytes against its loop that formed every
-residual anew; CSV reading and writing against per-value oracles;
+RLS ridge restore against its np.eye/np.linalg.solve form, and the solved
+gain against a Sherman-Morrison inverse; the AK-SVD objective trace, and
+train's bytes against its loop that formed every residual anew; CSV
+reading and writing against per-value oracles;
 the block-drawn synthetic generator against its per-sample draws; library
 calls leave their input arrays unchanged, C- or Fortran-ordered."""
 
@@ -315,7 +316,7 @@ def test_exit_bound_keeps_the_exact_exit(instance):
        st.integers(1, 250), st.integers(0, 2**32 - 1))
 def test_rls_at_phi_1_equals_batch_least_squares(s, extra_atoms, m, warm_factor, n_stream, seed):
     # The stream starts from the least-squares fit of a warm-up of at least 3n
-    # columns and may cross the periodic re-inversion at 100 updates. init_state
+    # columns and may cross the periodic ridge restore at 100 updates. init_state
     # keeps a 1e-8 * mean-diagonal ridge in G for conditioning, so the batch
     # problem that RLS solves exactly carries that ridge too.
     n = s + extra_atoms
@@ -343,33 +344,42 @@ def _ridge_through_trace(G):
 
 
 def _eye_restore_rls_update(state, y, x):
-    # rls_update as it was when the ridge restore added c * np.eye(n) and
-    # called np.linalg.inv
+    # rls_update with the ridge restore that adds c * np.eye(n), and the gain
+    # from np.linalg.solve
     xd = x.to_dense()
-    u = (state.Ginv @ xd) / state.phi
-    denom = 1.0 + float(xd @ u)
-    if denom <= 0.0:
-        raise NumericalError("nonpositive RLS gain denominator: corrupted online state")
-    alpha = 1.0 / denom
     r = np.asarray(y, dtype=float) - state.model.D.atoms @ xd
-    state.model.D.atoms += alpha * (r[:, None] * u)
     state.G *= state.phi
     state.G += xd[:, None] * xd
-    state.Ginv /= state.phi
-    state.Ginv -= alpha * (u[:, None] * u)
+    try:
+        u = np.linalg.solve(state.G, xd)
+    except np.linalg.LinAlgError:
+        raise NumericalError("online Gram matrix became singular") from None
+    state.model.D.atoms += r[:, None] * u
     state.samples_seen += 1
     if state.samples_seen % _RIDGE_EVERY == 0:
         n = state.G.shape[0]
         state.G += (1.0 - state.phi**_RIDGE_EVERY) * _ridge_through_trace(state.G) * np.eye(n)
-        try:
-            state.Ginv = np.linalg.inv(state.G)
-        except np.linalg.LinAlgError:
-            raise NumericalError("online Gram matrix became singular") from None
-        if not all(np.all(np.isfinite(M)) for M in (state.G, state.Ginv, state.model.D.atoms)):
+        if not all(np.all(np.isfinite(M)) for M in (state.G, state.model.D.atoms)):
             raise NumericalError(
                 f"online state became non-finite after {state.samples_seen} samples"
             )
     return math.sqrt(r.dot(r))  # np.linalg.norm's arithmetic on a vector
+
+
+def _sherman_morrison_rls_update(D, G, Ginv, phi, t, y, xd):
+    # the RLS update that carried Ginv beside G: Sherman-Morrison per update,
+    # G's ridge restored and Ginv inverted anew every 100th; returns t + 1
+    u = (Ginv @ xd) / phi
+    alpha = 1.0 / (1.0 + float(xd @ u))
+    D += alpha * np.outer(y - D @ xd, u)
+    G *= phi
+    G += np.outer(xd, xd)
+    Ginv /= phi
+    Ginv -= alpha * np.outer(u, u)
+    if (t + 1) % _RIDGE_EVERY == 0:
+        G += (1.0 - phi**_RIDGE_EVERY) * _ridge_through_trace(G) * np.eye(len(G))
+        Ginv[:] = np.linalg.inv(G)
+    return t + 1
 
 
 def _update_outcome(update, state, y, x):
@@ -406,11 +416,36 @@ def test_rls_restore_keeps_the_bits_of_the_eye_restore(s, extra_atoms, unused, m
             got = _update_outcome(rls_update, state, y, x)
             want = _update_outcome(_eye_restore_rls_update, ref, y, x)
             assert str(got) == str(want)  # the a-priori error, NaN included, or the message
-            for a, b in ((state.G, ref.G), (state.Ginv, ref.Ginv),
-                         (state.model.D.atoms, ref.model.D.atoms)):
+            for a, b in ((state.G, ref.G), (state.model.D.atoms, ref.model.D.atoms)):
                 assert a.tobytes() == b.tobytes()
             if isinstance(want, str):
                 break
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(2, 10), st.integers(3, 5),
+       st.floats(0.9, 1.0), st.integers(1, 250), st.integers(0, 2**32 - 1))
+def test_rls_solve_form_matches_sherman_morrison(s, extra_atoms, m, warm_factor, phi, n_stream,
+                                                 seed):
+    # The gain solved on G each update equals the one a Sherman-Morrison
+    # inverse carried, up to rounding, across a restore at 100 updates.
+    n = s + extra_atoms
+    rng = np.random.default_rng(seed)
+    Dt = rng.standard_normal((m, n))
+    Xw = _sparse_cols(rng, n, s, warm_factor * n)
+    model = DiscriminativeModel(Dictionary(Dt.copy()), np.zeros((2, n)), np.zeros((n, n)),
+                                np.arange(n) % 2)
+    state = init_state(model, Dt @ Xw, SparseCodeMatrix.from_dense(Xw), phi=phi,
+                       coding=CodingConfig(s))
+    D, G, t = Dt.copy(), state.G.copy(), state.samples_seen
+    Ginv = np.linalg.inv(G)
+    for _ in range(n_stream):
+        x = SparseCode(rng.choice(n, s, replace=False), rng.standard_normal(s), n)
+        y = Dt @ x.to_dense() + 0.05 * rng.standard_normal(m)
+        rls_update(state, y, x)
+        t = _sherman_morrison_rls_update(D, G, Ginv, phi, t, y, x.to_dense())
+    assert np.array_equal(state.G, G)
+    assert np.linalg.norm(state.model.D.atoms - D) <= 1e-9 * np.linalg.norm(D)
 
 
 def test_rls_restore_turns_an_off_diagonal_negative_zero_positive():
@@ -428,8 +463,7 @@ def test_rls_restore_turns_an_off_diagonal_negative_zero_positive():
     x = SparseCode([1], [-1.0], n)  # x x^T adds 0 * -1.0 = -0.0 at (0, 1)
     assert rls_update(state, np.ones(6), x) == _eye_restore_rls_update(ref, np.ones(6), x)
     assert not np.signbit(ref.G[0, 1])
-    for a, b in ((state.G, ref.G), (state.Ginv, ref.Ginv),
-                 (state.model.D.atoms, ref.model.D.atoms)):
+    for a, b in ((state.G, ref.G), (state.model.D.atoms, ref.model.D.atoms)):
         assert a.tobytes() == b.tobytes()
 
 

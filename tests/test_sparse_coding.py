@@ -270,9 +270,11 @@ def test_strided_signal_codes_like_batch_column():
     (sparse_coding._solve, np.linalg.solve, "solve1", "dd->d", np.linalg.LinAlgError, ()),
     (online._inverse, np.linalg.inv, "inv", "d->d", NumericalError,
      ("online Gram matrix became singular",)),
+    (online._gain, np.linalg.solve, "solve1", "dd->d", NumericalError,
+     ("online Gram matrix became singular",)),
     (online._svd, lambda M: np.linalg.svd(M, compute_uv=False), "svd", "d->d", NumericalError,
      ("spectral norm: SVD did not converge",)),
-], ids=["solve", "inv", "svd"])
+], ids=["solve", "inv", "gain", "svd"])
 def test_lapack_calls_keep_the_wrappers_bits_and_error_state(monkeypatch, made, public, name,
                                                              signature, error, message):
     rng = np.random.default_rng(20)
