@@ -77,6 +77,9 @@ class ToddlerOutcome:
 
 # the singular values of a matrix, descending: np.linalg.svd(M, compute_uv=False)
 _svd = _lapack("svd", "d->d", NumericalError, "spectral norm: SVD did not converge")
+# the eigenvalues of a symmetric matrix, ascending: np.linalg.eigvalsh(M)
+_eigvalsh = _lapack("eigvalsh_lo", "d->d", NumericalError,
+                    "spectral norm: eigenvalues did not converge")
 # G^-1: np.linalg.inv
 _inverse = _lapack("inv", "d->d", NumericalError, "online Gram matrix became singular")
 # the RLS gain G^-1 x: np.linalg.solve(G, x)
@@ -84,7 +87,10 @@ _gain = _lapack("solve1", "dd->d", NumericalError, "online Gram matrix became si
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value, through _svd, so the bits of
+    """Largest singular value. A square M with the bits of its transpose,
+    such as the stream's G, gives its largest |eigenvalue| through
+    _eigvalsh, which costs less than an SVD and may differ from it in the
+    last bit; any other M goes through _svd, so the bits of
     np.linalg.norm(M, 2). Non-finite entries raise NumericalError before
     LAPACK sees them: given inf, LAPACK prints a DLASCL error to stderr and
     returns NaN."""
@@ -96,6 +102,9 @@ def spectral_norm(M: np.ndarray) -> float:
         return 0.0
     if not np.isfinite(M).all():
         raise NumericalError("spectral norm of a matrix with non-finite entries")
+    if M.shape[0] == M.shape[1] and M.tobytes() == M.T.tobytes():
+        w = _eigvalsh(M)
+        return float(max(-w[0], w[-1]))
     return float(_svd(M)[0])
 
 
@@ -229,11 +238,21 @@ def save_state(path, state: OnlineState):
 
 
 def load_state(path) -> OnlineState:
+    """Inverse of save_state. DataError as in load_model_file, and for a G
+    that is not finite, bitwise symmetric and positive definite."""
     model, z = load_model_file(path, "state", (
         "G", "phi", "policy_kind", "policy_lambda1", "policy_lambda2", "samples_seen",
         "coding_s", "coding_residual_tol"))
+    G = z["G"]
+    try:
+        np.linalg.cholesky(G)  # which reads only the lower triangle
+        sound = np.isfinite(G).all() and G.tobytes() == G.T.tobytes()
+    except np.linalg.LinAlgError:
+        sound = False
+    if not sound:
+        raise DataError(f"{path} is not a state file: G is not symmetric positive definite")
     policy = LambdaPolicy(
         str(z["policy_kind"]), float(z["policy_lambda1"]), float(z["policy_lambda2"])
     )
-    return OnlineState(model, z["G"], float(z["phi"]), policy, int(z["samples_seen"]),
+    return OnlineState(model, G, float(z["phi"]), policy, int(z["samples_seen"]),
                        CodingConfig(int(z["coding_s"]), float(z["coding_residual_tol"])))

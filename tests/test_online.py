@@ -453,6 +453,9 @@ _MALFORMED = {
     "short-class-map": {"class_of_atom": np.zeros(7, dtype=int)},
     "tall-G": {"G": np.eye(9, 8)},
     "no-classes-W": {"W": np.zeros((0, 8))},
+    "negative-G": {"G": -np.eye(8)},
+    "asymmetric-G": {"G": np.eye(8) + np.eye(8, k=1)},  # its lower triangle factors
+    "inf-G": {"G": np.diag([np.inf] + [1.0] * 7)},
 }
 
 
@@ -502,6 +505,9 @@ def test_model_files_list_the_model_arrays_first(tmp_path):
      r"is not a state file: class_of_atom has shape \(7,\), D has 8 atoms$"),
     ("state", "tall-G.npz", r"is not a state file: G has shape \(9, 8\), D has 8 atoms$"),
     ("state", "no-classes-W.npz", "is not a state file: W is empty$"),
+    ("state", "negative-G.npz", "is not a state file: G is not symmetric positive definite$"),
+    ("state", "asymmetric-G.npz", "is not a state file: G is not symmetric positive definite$"),
+    ("state", "inf-G.npz", "is not a state file: G is not symmetric positive definite$"),
 ], ids=["model-as-state", "state-as-model", "csv-as-state", "csv-as-model", "truncated",
         "missing", "state-version", *_MALFORMED])
 def test_load_wrong_file_raises_data_error(tmp_path, kind, name, message):
@@ -558,13 +564,18 @@ def test_spectral_norm_keeps_the_error_state_and_warns_nothing(capfd, monkeypatc
     rng = np.random.default_rng(18)
     mats = [rng.standard_normal((6, 6)), rng.standard_normal((3, 5)) * 1e-300,
             rng.standard_normal((4, 4)) * 1e300]
+    X = rng.standard_normal((5, 7))
+    # a bitwise-symmetric M takes the eigenvalue path; the last one is indefinite
+    symmetric = [X @ X.T, (X @ X.T) * 1e-300, (X[:, :5] + X[:, :5].T) * 1e300]
+    cases = ([(M, np.linalg.norm(M, 2)) for M in mats]
+             + [(M, np.max(np.abs(np.linalg.eigvalsh(M)))) for M in symmetric])
     before = (np.geterr(), np.geterrcall())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for M in mats:
-            assert spectral_norm(M) == np.linalg.norm(M, 2)
+        for M, want in cases:
+            assert spectral_norm(M) == want
             with np.errstate(all="raise"):
-                assert spectral_norm(M) == np.linalg.norm(M, 2)
+                assert spectral_norm(M) == want
         for bad in (np.nan, np.inf, -np.inf):
             M = np.eye(3)
             M[1, 2] = bad
@@ -576,8 +587,12 @@ def test_spectral_norm_keeps_the_error_state_and_warns_nothing(capfd, monkeypatc
             spectral_norm(np.ones((2, 2, 2)))
         # LAPACK's non-convergence reaches numpy as the invalid flag
         monkeypatch.setattr(sparse_coding, "_umath_linalg", SimpleNamespace(
-            svd=lambda M, signature: np.full(1, np.inf) - np.inf))
+            svd=lambda M, signature: np.full(1, np.inf) - np.inf,
+            eigvalsh_lo=lambda M, signature: np.full(1, np.inf) - np.inf))
         with pytest.raises(NumericalError, match="^spectral norm: SVD did not converge$"):
+            spectral_norm(np.eye(3) + np.eye(3, k=1))
+        with pytest.raises(NumericalError,
+                           match="^spectral norm: eigenvalues did not converge$"):
             spectral_norm(np.eye(3))
     assert (np.geterr(), np.geterrcall()) == before
     assert capfd.readouterr().err == ""
@@ -638,7 +653,7 @@ def test_toddler_run_bytes_pinned(tmp_path):
     with np.load(tmp_path / "checkpoint.npz") as z:
         for key in sorted(z.files):
             h.update(key.encode() + z[key].tobytes())
-    assert h.hexdigest() == "6946bdbe18b12e6607bdbf35a7d39ab14f70213adf05207450c72b790f6a65a0"
+    assert h.hexdigest() == "f9a06c9e950a35aeba9728bd2bd604517b4e2343e46164cc12f2eacf4ace1f1e"
 
 
 def test_toddler_run_bytes_pinned_at_bench_shapes(tmp_path):
@@ -655,4 +670,4 @@ def test_toddler_run_bytes_pinned_at_bench_shapes(tmp_path):
         assert int(z["samples_seen"]) == 400
         for key in sorted(z.files):
             h.update(key.encode() + z[key].tobytes())
-    assert h.hexdigest() == "d95bd2fea50836cbc1d1754fe368c77c68e87a03a5620f528f3461e970b522d5"
+    assert h.hexdigest() == "3a0dda1be63eabc5411ded3e3225b2a9040c9cbd5af7612a718d674ecf496f81"

@@ -57,7 +57,8 @@ from dictad import (
 from dictad import data_io
 from dictad.online import _RIDGE_EVERY
 from dictad.dictionary_learning import _sign_fix, atom_update_pass
-from dictad.sparse_coding import _solve, _weighted_rows, residuals
+from dictad import sparse_coding
+from dictad.sparse_coding import _weighted_rows, residuals
 from dictad.data_io import _SIGNS, DataError
 
 from test_online import _sparse_cols
@@ -129,28 +130,64 @@ def test_code_statistics_match_dense_oracles(instance, seed):
 
 
 def test_batch_code_across_lockstep_chunks():
-    # more signals than one lockstep pass codes together
+    # more signals than one lockstep pass codes together, in three passes
+    chunk = sparse_coding._CHUNK
     rng = np.random.default_rng(17)
     A = rng.standard_normal((8, 12))
     A /= np.linalg.norm(A, axis=0)
     D, cfg = Dictionary(A), CodingConfig(3)
-    Y = rng.standard_normal((8, 600))
+    Y = rng.standard_normal((8, 2 * chunk + 88))
     for i, code in enumerate(batch_code(D, Y, cfg).columns):
         single = omp(D, Y[:, i], cfg)
         assert np.array_equal(code.support, single.support)
         assert np.array_equal(code.values, single.values)
-    # only column 300 needs a second atom, and the only one left duplicates the first
+    # only column chunk + 44 needs a second atom, and the only one left
+    # duplicates the first
     dup = Dictionary(np.column_stack([A[:, 0], A[:, 0]]))
-    Y = np.tile(A[:, [0]], (1, 600))
-    Y[:, 300] += A[:, 1]
-    with pytest.raises(CodingError, match="column 300: singular"):
+    Y = np.tile(A[:, [0]], (1, 2 * chunk + 88))
+    Y[:, chunk + 44] += A[:, 1]
+    with pytest.raises(CodingError, match=f"column {chunk + 44}: singular"):
         batch_code(dup, Y, CodingConfig(2))
+
+
+def _factor_and_solve(gram, b):
+    """x with gram x = b for one system or a stack (gram[..., i, t] and
+    b[..., i] over the leading axes), and where the last pivot is refused:
+    the kernel's Cholesky arithmetic, restated. Row i of the factor L is
+    forward substitution on the rows above it, with the pivot d = gram_ii -
+    ||L[i, :i]||^2 refused unless above 4 (i + 1) eps gram_ii; then L z = b
+    and L^T x = z, each product summed left to right."""
+    n = gram.shape[-1]
+    L, z, x = [[None] * n for _ in range(n)], [None] * n, [None] * n
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            for t in range(i):
+                acc = gram[..., t, i]
+                for u in range(t):
+                    acc = acc - L[t][u] * L[i][u]
+                L[i][t] = acc / L[t][t]
+            d = gram[..., i, i]
+            for t in range(i):
+                d = d - L[i][t] * L[i][t]
+            refused = ~(d > (i + 1) * 4 * 2.0**-52 * gram[..., i, i])
+            L[i][i] = np.sqrt(d)
+            acc = b[..., i]
+            for t in range(i):
+                acc = acc - L[i][t] * z[t]
+            z[i] = acc / L[i][i]
+        for i in reversed(range(n)):
+            acc = z[i]
+            for t in range(i + 1, n):
+                acc = acc - L[t][i] * x[t]
+            x[i] = acc / L[i][i]
+    return np.stack(x, axis=-1), refused
 
 
 def _exact_exit_batch(A, Y, cfg):
     """The coding kernel as it was before the exit bound: the exact residual
     after every solve but the last decides each column's early exit. It
-    shares the unchanged solve and row-product helpers."""
+    shares the unchanged row-product helper; each step solves its support's
+    system from scratch."""
     G = A.T @ A
     Yt = np.ascontiguousarray(Y.T)
     a0 = np.matmul(Yt[:, None, :], A)[:, 0, :]
@@ -169,13 +206,12 @@ def _exact_exit_batch(A, Y, cfg):
         corr[rows, S[:, :k]] = -1.0
         S[:, k] = np.argmax(corr, axis=1)
         Sk = S[:, :k + 1]
-        gram = G[Sk[:, :, None], Sk[:, None, :]]
-        try:
-            coef[:, :k + 1] = _solve(gram, a0[rows, Sk])
-        except np.linalg.LinAlgError:
-            i = int(np.argmin(np.abs(np.linalg.det(gram))))
+        coef[:, :k + 1], refused = _factor_and_solve(G[Sk[:, :, None], Sk[:, None, :]],
+                                                     a0[rows, Sk])
+        if refused.any():
+            i = int(np.flatnonzero(refused)[0])
             raise CodingError(f"column {live[i]}: singular support sub-matrix on atoms "
-                              f"{Sk[i].tolist()} (duplicate or collinear atoms)") from None
+                              f"{Sk[i].tolist()} (duplicate or collinear atoms)")
         if k + 1 < cfg.s:
             r = _weighted_rows(y, A.T, Sk, coef[:, :k + 1])
             done = np.sqrt((r * r).sum(axis=1)) <= tol
@@ -202,11 +238,10 @@ def _exact_exit_omp(A, y, cfg):
         S[k] = corr.argmax()
         Sk = S[:k + 1]
         rows = G.take(Sk, axis=0)
-        try:
-            coef = _solve(rows.take(Sk, axis=1), a0.take(Sk))
-        except np.linalg.LinAlgError:
+        coef, refused = _factor_and_solve(rows.take(Sk, axis=1), a0.take(Sk))
+        if refused:
             raise CodingError(f"singular support sub-matrix on atoms {Sk.tolist()} "
-                              "(duplicate or collinear atoms)") from None
+                              "(duplicate or collinear atoms)")
         if k + 1 < cfg.s:
             r = y - coef @ A.T.take(Sk, axis=0)
             if np.sqrt((r * r).sum()) <= tol:

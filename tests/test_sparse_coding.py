@@ -115,6 +115,24 @@ def test_duplicate_atoms_reported_as_singular():
         omp(D, np.array([1.0, 1.0, 0.0]), CodingConfig(2, residual_tol=0.0))
 
 
+@pytest.mark.parametrize("earlier", [0, 1, 3], ids=["alone", "after-1", "after-3"])
+def test_exact_duplicate_atom_reported_as_singular_at_every_scale(earlier):
+    # with n = s every atom is picked, the duplicate last: its Cholesky pivot
+    # d = g - ||w||^2 is rounding noise, positive for about a quarter of the
+    # scales (g - (g / sqrt(g))^2 alone), and must still be refused
+    rng = np.random.default_rng(23)
+    cfg = CodingConfig(earlier + 2)
+    for scale in np.logspace(-150, 150, 1001):  # Gram entries 1e-300 to 1e300
+        m = int(rng.integers(earlier + 3, 30))
+        B = rng.standard_normal((m, earlier + 1))
+        D = Dictionary(np.column_stack([B, B[:, -1]]) * scale)
+        y = rng.standard_normal(m) * scale
+        with pytest.raises(CodingError, match="^singular support sub-matrix"):
+            omp(D, y, cfg)
+        with pytest.raises(CodingError, match="^column 1: singular support sub-matrix"):
+            batch_code(D, np.column_stack([B[:, 0] * scale, y]), cfg)
+
+
 def test_zero_first_atom_reported_as_singular():
     # both correlations are 0, so the all-zero atom 0 is picked first and its
     # 1 x 1 Gram is 0: the first solve is singular, not a NaN coefficient
@@ -267,14 +285,15 @@ def test_strided_signal_codes_like_batch_column():
 
 
 @pytest.mark.parametrize("made, public, name, signature, error, message", [
-    (sparse_coding._solve, np.linalg.solve, "solve1", "dd->d", np.linalg.LinAlgError, ()),
     (online._inverse, np.linalg.inv, "inv", "d->d", NumericalError,
      ("online Gram matrix became singular",)),
     (online._gain, np.linalg.solve, "solve1", "dd->d", NumericalError,
      ("online Gram matrix became singular",)),
     (online._svd, lambda M: np.linalg.svd(M, compute_uv=False), "svd", "d->d", NumericalError,
      ("spectral norm: SVD did not converge",)),
-], ids=["solve", "inv", "gain", "svd"])
+    (online._eigvalsh, np.linalg.eigvalsh, "eigvalsh_lo", "d->d", NumericalError,
+     ("spectral norm: eigenvalues did not converge",)),
+], ids=["inv", "gain", "svd", "eigvalsh"])
 def test_lapack_calls_keep_the_wrappers_bits_and_error_state(monkeypatch, made, public, name,
                                                              signature, error, message):
     rng = np.random.default_rng(20)
