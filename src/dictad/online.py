@@ -19,9 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DataError, NumericalError
-from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, _lapack, omp
+from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, omp
 from .supervised import DiscriminativeModel, classify, load_model_file, save_model_file
 
 # updates between restores of the ridge that forgetting decays: at phi = 0.95
@@ -73,6 +74,23 @@ class ToddlerOutcome:
     lambda1: float
     lambda2: float
     reconstruction_error: float
+
+
+def _lapack(gufunc: str, signature: str, error: type, *message: str):
+    """A function that calls numpy.linalg._umath_linalg.<gufunc>, the LAPACK
+    gufunc behind an np.linalg function, with that function's bits and error
+    state but not its checks, which cost more than the call on small matrices.
+    The decorator sets that state per call without building an errstate
+    object: over, divide and underflow ignored, and the invalid flag, by
+    which a LAPACK failure reaches numpy, raising error(*message). The
+    gufunc is looked up at each call, so a test can stand one in."""
+    def fail(err, flag):
+        raise error(*message)
+
+    @np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    def call(*arrays):
+        return getattr(_umath_linalg, gufunc)(*arrays, signature=signature)
+    return call
 
 
 # the singular values of a matrix, descending: np.linalg.svd(M, compute_uv=False)
@@ -239,11 +257,13 @@ def save_state(path, state: OnlineState):
 
 def load_state(path) -> OnlineState:
     """Inverse of save_state. DataError as in load_model_file, and for a G
-    that is not finite, bitwise symmetric and positive definite."""
+    that is not finite, bitwise symmetric and positive definite. G comes
+    back as float64, as the model's arrays do, so the stream updates it in
+    place."""
     model, z = load_model_file(path, "state", (
         "G", "phi", "policy_kind", "policy_lambda1", "policy_lambda2", "samples_seen",
         "coding_s", "coding_residual_tol"))
-    G = z["G"]
+    G = np.asarray(z["G"], dtype=float)
     try:
         np.linalg.cholesky(G)  # which reads only the lower triangle
         sound = np.isfinite(G).all() and G.tobytes() == G.T.tobytes()

@@ -11,9 +11,9 @@ solve by substitution, the kernel elementwise across its columns, omp on
 Python floats. Every per-column operation in the kernel is independent of
 the other columns, so a signal codes to the same bits alone or inside any
 batch. A signal stops early once its residual norm is within the threshold.
-The kernel tests the exact residual at every step; omp() skips forming it
-where a rounding bound on the correlation it already holds shows the test
-cannot pass (_exit_bound), so its codes are those of testing every step.
+Neither path forms that residual where a rounding bound on the correlation
+it already holds shows the test cannot pass (_exit_bound), so the codes are
+those of testing the exact residual at every step.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import CodingError
 
@@ -133,8 +132,9 @@ class CodingConfig:
     residual_tol is an absolute norm; the effective threshold is
     max(residual_tol, 1e-9 * ||y||) so exactly-representable signals
     terminate early instead of chasing rounding noise. A code of fewer than s
-    atoms stops once its exact residual norm is within the threshold; omp
-    forms that residual only where the bound in _exit_bound leaves it open.
+    atoms stops once its exact residual norm is within the threshold; both
+    OMP paths form that residual only where the bound in _exit_bound leaves
+    it open.
     """
 
     s: int
@@ -164,23 +164,6 @@ def _check_shapes(A: np.ndarray, signal_dim: int, cfg: CodingConfig):
         raise CodingError(f"signal dimension {signal_dim} != dictionary dimension {A.shape[0]}")
     if cfg.s > A.shape[1]:
         raise CodingError(f"sparsity {cfg.s} exceeds atom count {A.shape[1]}")
-
-
-def _lapack(gufunc: str, signature: str, error: type, *message: str):
-    """A function that calls numpy.linalg._umath_linalg.<gufunc>, the LAPACK
-    gufunc behind an np.linalg function, with that function's bits and error
-    state but not its checks, which cost more than the call on small matrices.
-    The decorator sets that state per call without building an errstate
-    object: over, divide and underflow ignored, and the invalid flag, by
-    which a LAPACK failure reaches numpy, raising error(*message). The
-    gufunc is looked up at each call, so a test can stand one in."""
-    def fail(err, flag):
-        raise error(*message)
-
-    @np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
-    def call(*arrays):
-        return getattr(_umath_linalg, gufunc)(*arrays, signature=signature)
-    return call
 
 
 # row k's pivot d must exceed (k + 1) _PIVOT_TOL G_jj (see _cholesky_row)
@@ -229,11 +212,12 @@ def _singular(Sk, column=""):
                        "(duplicate or collinear atoms)")
 
 
-def _exit_bound(G: np.ndarray, m: int, s: int, ynorm: float, tol: float):
-    """(base, slope) for omp: step k-1's code x can pass the exact exit test
-    only if c* <= base + slope * sqrt(k) * ||x||_2.
+def _exit_bound(G: np.ndarray, m: int, s: int, ynorm, tol):
+    """(base, slope): step k-1's code x can pass the exact exit test only if
+    c* <= base + slope * sqrt(k) * ||x||_2. base is a float in omp and holds
+    one entry per live column in _lockstep, as ynorm and tol do.
 
-    omp tests step k-1's code after step k's argmax, which holds
+    Both paths test step k-1's code after step k's argmax, which holds
     c* = fl(|a0_j - G[j, S] x|) for an atom j outside S (k < s <= n leaves
     one). In exact arithmetic, |d_j^T r| <= nu ||r|| for r = y - D_S x and
     nu = max ||d_j|| = sqrt(max diag G). Rounding, to first order in
@@ -267,7 +251,9 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
     with the largest |d_j^T r| (ties to the lowest index) from the correlations
     D^T y - G[:, S] x_S, adds a row to its Cholesky factor of G[S, S] and
     solves least squares on the grown support. A column stops at s atoms or
-    once ||y - D_S x_S|| <= its threshold.
+    once ||y - D_S x_S|| <= its threshold, tested as in omp: after the next
+    step's pick, and only for the columns whose correlation there leaves the
+    test open (_exit_bound).
     """
     Yt = np.ascontiguousarray(Y.T)
     alpha0 = np.matmul(Yt[:, None, :], A)[:, 0, :]  # one product per signal
@@ -275,6 +261,8 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
     tol = np.maximum(cfg.residual_tol, 1e-9 * ynorm)
     live = np.flatnonzero(ynorm > tol)
     a0, y, tol = alpha0[live], Yt[live], tol[live]
+    with np.errstate(over="ignore"):
+        base, slope = _exit_bound(G, A.shape[0], cfg.s, ynorm[live], tol)
     S = np.zeros((live.size, cfg.s), dtype=int)
     coef = np.zeros((live.size, cfg.s))
     L, z = [], []  # L[i][t] and z[i] hold an entry of each live column's factor
@@ -285,6 +273,28 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
         corr = np.abs(_weighted_rows(a0, G, S[:, :k], coef[:, :k]))
         corr[rows[:, None], S[:, :k]] = -1.0
         j = S[:, k] = np.argmax(corr, axis=1)
+        if k:
+            cstar = corr[rows, j]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # ||x||_2 column by column: np.hypot.reduce along rows costs ~4x
+                xnorm = np.abs(coef[:, 0])
+                for t in range(1, k):
+                    xnorm = np.hypot(xnorm, coef[:, t])
+                bound = base + slope * math.sqrt(k) * xnorm
+            test = np.flatnonzero(~((bound < cstar) & (cstar < np.inf)))
+            done = np.zeros(live.size, dtype=bool)
+            if test.size:
+                r = _weighted_rows(y[test], A.T, S[test, :k], coef[test, :k])
+                done[test] = np.sqrt((r * r).sum(axis=1)) <= tol[test]
+            if done.any():
+                S[done, k] = 0
+                out, keep = live[done], ~done
+                supports[out], values[out], nnz[out] = S[done], coef[done], k
+                live, a0, y, tol, base, S, coef, j = (
+                    v[keep] for v in (live, a0, y, tol, base, S, coef, j))
+                rows = rows[:live.size]
+                L = [[v[keep] for v in row] for row in L]
+                z = [v[keep] for v in z]
         gjj = G[j, j]
         with np.errstate(all="ignore"):  # as silent as omp's Python floats
             w, d = _cholesky_row(L, G[S[:, :k].T, j], gjj)
@@ -294,15 +304,6 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
                 raise _singular(S[i, :k + 1].tolist(), f"column {first + live[i]}: ")
             coef[:, :k + 1] = np.stack(_cholesky_solve(L, z, w, np.sqrt(d), a0[rows, j]),
                                        axis=1)
-        if k + 1 < cfg.s:
-            r = _weighted_rows(y, A.T, S[:, :k + 1], coef[:, :k + 1])
-            done = np.sqrt((r * r).sum(axis=1)) <= tol
-            if done.any():
-                out, keep = live[done], ~done
-                supports[out], values[out], nnz[out] = S[done], coef[done], k + 1
-                live, a0, y, tol, S, coef = (v[keep] for v in (live, a0, y, tol, S, coef))
-                L = [[v[keep] for v in row] for row in L]
-                z = [v[keep] for v in z]
     supports[live], values[live], nnz[live] = S, coef, cfg.s
 
 

@@ -124,7 +124,8 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
     `kind` file ("model" or "state") holds, holds one of another dimension,
     of values that are not numbers (policy_kind is text) or of a size that
     D's atom count does not fit, has an empty D or W, or has another format
-    version."""
+    version. D, W and A come back as float64, integer arrays cast, float64
+    ones as stored."""
     try:  # np.load leaks the handle it opens when the zip is truncated
         with open(path, "rb") as f:
             z = np.load(f)
@@ -157,7 +158,8 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
         if arrays[k].shape != want:
             raise DataError(f"{path} is not a {kind} file: {k} has shape "
                             f"{arrays[k].shape}, D has {n} atoms")
-    model = DiscriminativeModel(Dictionary(arrays["D"]), arrays["W"], arrays["A"],
+    model = DiscriminativeModel(Dictionary(arrays["D"]), np.asarray(arrays["W"], dtype=float),
+                                np.asarray(arrays["A"], dtype=float),
                                 arrays["class_of_atom"].astype(int))
     return model, {k: arrays[k] for k in extra}
 

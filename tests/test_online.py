@@ -26,7 +26,7 @@ from dictad import (
     toddler_step,
 )
 
-from dictad import sparse_coding
+from dictad import online
 from dictad.experiments import run_experiment
 from helpers import planted_instance
 
@@ -83,7 +83,7 @@ def test_init_state_non_finite_codes_rejected(bad):
 def test_init_state_nan_drift_rejected(monkeypatch):
     # a NaN drift ||Ginv G - I|| fails the test instead of passing it
     D, _, _ = planted_instance(6, 4, 4, 2, seed=0)
-    monkeypatch.setattr(sparse_coding, "_umath_linalg",
+    monkeypatch.setattr(online, "_umath_linalg",
                         SimpleNamespace(inv=lambda G, signature: np.full_like(G, np.nan)))
     with pytest.raises(NumericalError, match="ill-conditioned"):
         init_state(_model(D), D @ np.eye(4), SparseCodeMatrix.from_dense(np.eye(4)), phi=1.0,
@@ -436,6 +436,33 @@ def test_load_state_reads_a_checkpoint_that_holds_Ginv(tmp_path):
     assert (old.phi, old.samples_seen) == (st.phi, st.samples_seen)
 
 
+def test_load_state_streams_an_integer_checkpoint_like_its_float_copy(tmp_path):
+    # integer G, W and A load as float64, so rls_update's G *= phi works in
+    # place instead of failing in numpy, and the stream keeps the float
+    # file's bits
+    st, Dt = _toy_state(seed=18, phi=0.95)
+    save_state(tmp_path / "checkpoint.npz", st)
+    with np.load(tmp_path / "checkpoint.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    ints = {"G": np.eye(8, dtype=np.int64) * 3,
+            "W": np.rint(4 * arrays["W"]).astype(np.int64),
+            "A": np.rint(4 * arrays["A"]).astype(np.int32)}
+    np.savez(tmp_path / "int.npz", **{**arrays, **ints})
+    np.savez(tmp_path / "float.npz", **{**arrays, **{k: v.astype(float) for k, v in ints.items()}})
+    states = [load_state(tmp_path / name) for name in ("int.npz", "float.npz")]
+    assert all(a.dtype == float for s in states for a in (s.G, s.model.W, s.model.A))
+    rng = np.random.default_rng(18)
+    for y in (Dt[:, :3] @ rng.standard_normal((3, 120))).T:
+        a, b = (toddler_step(s, y)[1] for s in states)
+        assert a.predicted_class == b.predicted_class
+        assert a.scores.tobytes() == b.scores.tobytes()
+        assert a.code.values.tobytes() == b.code.values.tobytes()
+    for name, s in zip(("int-after.npz", "float-after.npz"), states):
+        save_state(tmp_path / name, s)
+    with np.load(tmp_path / "int-after.npz") as a, np.load(tmp_path / "float-after.npz") as b:
+        assert all(a[k].tobytes() == b[k].tobytes() for k in a.files)
+
+
 _MODEL_ARRAYS = ["format_version", "D", "W", "A", "class_of_atom"]
 _STATE_ARRAYS = ["G", "phi", "policy_kind", "policy_lambda1", "policy_lambda2",
                  "samples_seen", "coding_s", "coding_residual_tol"]
@@ -586,7 +613,7 @@ def test_spectral_norm_keeps_the_error_state_and_warns_nothing(capfd, monkeypatc
         with pytest.raises(NumericalError, match="3-dimensional"):
             spectral_norm(np.ones((2, 2, 2)))
         # LAPACK's non-convergence reaches numpy as the invalid flag
-        monkeypatch.setattr(sparse_coding, "_umath_linalg", SimpleNamespace(
+        monkeypatch.setattr(online, "_umath_linalg", SimpleNamespace(
             svd=lambda M, signature: np.full(1, np.inf) - np.inf,
             eigvalsh_lo=lambda M, signature: np.full(1, np.inf) - np.inf))
         with pytest.raises(NumericalError, match="^spectral norm: SVD did not converge$"):

@@ -257,6 +257,69 @@ def _outcome(call):
         return [type(e).__name__, str(e)]
 
 
+def _exact_signals(rng, A, N, atoms):
+    """N signals, column i the sum of atoms[i % len(atoms)] random atoms of A
+    (none where that count is 0: a random signal) with coefficients of
+    either sign and magnitude 0.5 to 1.5."""
+    Y = rng.standard_normal((A.shape[0], N))
+    for i in range(N):
+        k = atoms[i % len(atoms)]
+        if k:
+            coef = rng.uniform(0.5, 1.5, k) * rng.choice([-1.0, 1.0], k)
+            Y[:, i] = A[:, rng.choice(A.shape[1], k, replace=False)] @ coef
+    return Y
+
+
+def test_batch_code_forms_exit_residuals_only_where_the_bound_leaves_them_open(monkeypatch):
+    # the exit residual is the one product whose rows, those of D^T, are m
+    # wide (the correlations' rows, G's, are n wide): generic signals never
+    # form it, and signals of 1 to 3 atoms still do, and exit early
+    rng = np.random.default_rng(23)
+    m, n, s = 29, 32, 5
+    A = rng.standard_normal((m, n))
+    A /= np.linalg.norm(A, axis=0)
+    D, cfg = Dictionary(A), CodingConfig(s)
+    widths = []
+
+    def counted(base, rows, supports, coef):
+        widths.append(rows.shape[1])
+        return _weighted_rows(base, rows, supports, coef)
+
+    monkeypatch.setattr(sparse_coding, "_weighted_rows", counted)
+    X = batch_code(D, rng.standard_normal((m, 2000)), cfg)
+    assert widths and m not in widths
+    assert (X.nnz == s).all()
+    Y = _exact_signals(rng, A, 300, [1, 2, 3])
+    widths.clear()
+    X = batch_code(D, Y, cfg)
+    assert m in widths
+    assert (X.nnz < s).all()
+    want = _exact_exit_batch(A, Y, cfg)
+    assert [a.tobytes() for a in (X.supports, X.values, X.nnz)] == [a.tobytes() for a in want]
+
+
+def test_batch_code_exits_mid_chunk_across_lockstep_chunks():
+    # exits after 1, 2 and 3 atoms interleaved with signals that take all s,
+    # in every one of three lockstep passes: each exit drops its column from
+    # the factor L, z and the bound's arrays of the columns still coding
+    chunk = sparse_coding._CHUNK
+    rng = np.random.default_rng(31)
+    m, n, s = 12, 16, 4
+    A = rng.standard_normal((m, n))
+    A /= np.linalg.norm(A, axis=0)
+    D, cfg = Dictionary(A), CodingConfig(s)
+    Y = _exact_signals(rng, A, 2 * chunk + 88, [1, 0, 2, 0, 3, 0])
+    X = batch_code(D, Y, cfg)
+    for lo in range(0, Y.shape[1], chunk):
+        assert set(X.nnz[lo:lo + chunk].tolist()) == {1, 2, 3, s}
+    want = _exact_exit_batch(A, Y, cfg)
+    assert [a.tobytes() for a in (X.supports, X.values, X.nnz)] == [a.tobytes() for a in want]
+    for i, code in enumerate(X.columns):
+        single = omp(D, Y[:, i], cfg)
+        assert code.support.tobytes() == single.support.tobytes()
+        assert code.values.tobytes() == single.values.tobytes()
+
+
 @st.composite
 def exit_instances(draw):
     """Dictionaries of random or mutually orthogonal atoms at scales from

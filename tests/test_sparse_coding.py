@@ -18,7 +18,7 @@ from dictad import (
     representation_errors,
 )
 
-from dictad import online, sparse_coding
+from dictad import online
 from helpers import planted_instance, random_dictionary
 
 
@@ -314,7 +314,7 @@ def test_lapack_calls_keep_the_wrappers_bits_and_error_state(monkeypatch, made, 
             assert made(*args).tobytes() == want
             with np.errstate(all="raise"):
                 assert made(*args).tobytes() == want
-        monkeypatch.setattr(sparse_coding, "_umath_linalg", SimpleNamespace(**{name: invalid}))
+        monkeypatch.setattr(online, "_umath_linalg", SimpleNamespace(**{name: invalid}))
         for state in ({}, {"all": "raise"}):
             with np.errstate(**state), pytest.raises(error) as e:
                 made(*arrays)
@@ -323,9 +323,10 @@ def test_lapack_calls_keep_the_wrappers_bits_and_error_state(monkeypatch, made, 
     assert (np.geterr(), np.geterrcall()) == before
 
 
-def test_only_sparse_coding_calls_numpy_lapack_gufuncs():
-    # the np.linalg wrappers are bypassed in one place, sparse_coding._lapack
-    modules = sorted(Path(sparse_coding.__file__).parent.glob("*.py"))
+def test_only_online_calls_numpy_lapack_gufuncs():
+    # the np.linalg wrappers are bypassed in one place, online._lapack; the
+    # coding kernel uses public numpy only
+    modules = sorted(Path(online.__file__).parent.glob("*.py"))
     for token in ("_umath_linalg", "np.errstate(call="):
         users = [p.name for p in modules if token in p.read_text(encoding="utf-8")]
-        assert users == ["sparse_coding.py"], token
+        assert users == ["online.py"], token
