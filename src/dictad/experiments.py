@@ -268,15 +268,20 @@ def run_eval(params: dict, out_dir: Path) -> dict:
     pred_path = params["predictions"]
     try:
         with open(pred_path, encoding="utf-8") as f:
-            lines = [line.strip() for line in f]
+            text = f.read()
     except OSError as e:
         raise DataError(f"cannot read {pred_path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise DataError(f"{pred_path}: not UTF-8 text ({e.reason})") from None
-    if not {"0", "1", ""}.issuperset(lines):
-        k, text = next((k, t) for k, t in enumerate(lines, 1) if t not in ("0", "1", ""))
-        raise DataError(f"{pred_path}: line {k} is {text!r}, not 0 or 1")
-    rep = confusion(ds.labels, [t == "1" for t in lines if t])
+    lines = text.split("\n")
+    if not {"0", "1", ""}.issuperset(lines):  # spaces around a digit, or a fault
+        lines = [t.strip() for t in lines]
+        if not {"0", "1", ""}.issuperset(lines):
+            k, t = next((k, t) for k, t in enumerate(lines, 1) if t not in ("0", "1", ""))
+            raise DataError(f"{pred_path}: line {k} is {t!r}, not 0 or 1")
+        text = "\n".join(lines)
+    digits = np.frombuffer(text.encode(), dtype=np.uint8)
+    rep = confusion(ds.labels, digits[digits != ord("\n")] == ord("1"))
     return rep.as_dict()
 
 

@@ -123,9 +123,9 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
     DataError when path cannot be read, is not an .npz, lacks an array that a
     `kind` file ("model" or "state") holds, holds one of another dimension,
     of values that are not numbers (policy_kind is text) or of a size that
-    D's atom count does not fit, has an empty D or W, or has another format
-    version. D, W and A come back as float64, integer arrays cast, float64
-    ones as stored."""
+    D's atom count does not fit, has an empty D or W, a class_of_atom value
+    that is not a row index of W, or another format version. D, W and A
+    come back as float64, integer arrays cast, float64 ones as stored."""
     try:  # np.load leaks the handle it opens when the zip is truncated
         with open(path, "rb") as f:
             z = np.load(f)
@@ -158,9 +158,14 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
         if arrays[k].shape != want:
             raise DataError(f"{path} is not a {kind} file: {k} has shape "
                             f"{arrays[k].shape}, D has {n} atoms")
+    classes = arrays["class_of_atom"]
+    stray = classes[~np.isin(classes, np.arange(len(arrays["W"])))]
+    if stray.size:
+        raise DataError(f"{path} is not a {kind} file: class_of_atom holds {stray[0]}, "
+                        f"not a class of W (0..{len(arrays['W']) - 1})")
     model = DiscriminativeModel(Dictionary(arrays["D"]), np.asarray(arrays["W"], dtype=float),
                                 np.asarray(arrays["A"], dtype=float),
-                                arrays["class_of_atom"].astype(int))
+                                classes.astype(int))
     return model, {k: arrays[k] for k in extra}
 
 

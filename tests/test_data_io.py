@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from dictad import (
     subsample,
     synth_generate,
 )
+from dictad import data_io
 from dictad.data_io import ULB_FEATURES
+from helpers import assert_no_child_left, assert_same_load, split_csv_reads
 
 
 def _write_ulb_csv(path, n_rows=4, anomalies=(1,)):
@@ -271,16 +274,138 @@ def test_load_crlf_and_blank_lines(tmp_path):
     assert list(ds.labels) == [0, 1, 0]
 
 
-@pytest.mark.parametrize("body, message", [
+_MALFORMED_BODIES = pytest.mark.parametrize("body, message", [
     ("1,2,0\n3,1_0,1\n", "non-numeric cell '1_0' at row 3, column 'b'"),
     ("1,2,0\n\n3,4,2\n", "label '2' at row 4 is not 0 or 1"),
     ("1,2,0\n\n3,inf,1\n", "non-finite value in data row 2, column 'b'"),
 ], ids=["digit-separator", "label-after-blank-line", "inf-after-blank-line"])
+
+
+@_MALFORMED_BODIES
 def test_load_malformed_row_names_row_and_column(tmp_path, body, message):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,y\n" + body)
     with pytest.raises(DataError, match=message):
         load_csv(p, schema="generic", label_column="y")
+
+
+@pytest.mark.parametrize("half", ["parent", "child"])
+@_MALFORMED_BODIES
+def test_split_read_names_the_malformed_row(tmp_path, body, message, half):
+    # 20 good rows after the faulty ones put the fault in the parent's half,
+    # before them in the child's
+    p = tmp_path / "bad.csv"
+    pad = "0,0,0\n" * 20
+    p.write_text("a,b,y\n" + (body + pad if half == "parent" else pad + body))
+    with pytest.raises(DataError) as one:
+        load_csv(p, schema="generic", label_column="y")
+    with split_csv_reads() as forked, pytest.raises(DataError) as two:
+        load_csv(p, schema="generic", label_column="y")
+    assert str(two.value) == str(one.value)
+    assert half == "child" or message in str(one.value)
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def _rows(n, seed, end="\n"):
+    """n rows a,b,y of two random floats and a label."""
+    values = np.random.default_rng(seed).standard_normal((n, 2)).tolist()
+    return "".join(f"{a!r},{b!r},{k % 2}{end}" for k, (a, b) in enumerate(values))
+
+
+def _quoted_ulb(n_rows):
+    """The published credit-card layout: header and labels quoted."""
+    values = np.random.default_rng(19).standard_normal((n_rows, 29)).tolist()
+    header = ",".join(f'"{h}"' for h in ["Time"] + ULB_FEATURES + ["Class"])
+    return header + "\n" + "".join(
+        ",".join([str(float(k)), *map(repr, row), f'"{int(k % 7 == 3)}"']) + "\n"
+        for k, row in enumerate(values))
+
+
+@pytest.mark.parametrize("text, schema, label, forks", [
+    (_quoted_ulb(40), "ulb", None, 1),
+    ("a,b,y\r\n" + _rows(30, 20, "\r\n"), "generic", "y", 1),
+    ("a,b,y\n" + _rows(10, 21) + "\n" * 40 + "\r\n" + _rows(10, 22), "generic", "y", 1),
+    ("a,b,y\n" + _rows(30, 23)[:-1], "generic", "y", 1),
+    # the split would fall inside the quoted cell, so the body is read in one process
+    ("a,b,y\n" + _rows(5, 24) + '3,"4' + "\n" * 400 + '",1\n' + _rows(5, 25), "generic", "y", 0),
+    # the header ends at a lone CR, before the first '\n'
+    ("a,b,y\r" + _rows(30, 28), "generic", "y", 0),
+], ids=["quoted-ulb", "crlf", "blank-lines-at-split", "no-trailing-newline",
+        "quoted-newline-at-split", "header-ends-in-lone-cr"])
+def test_split_read_equals_one_process_read(tmp_path, text, schema, label, forks):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode())
+    one = load_csv(p, schema=schema, label_column=label)
+    with split_csv_reads() as forked:
+        two = load_csv(p, schema=schema, label_column=label)
+    assert_same_load(one, two)
+    assert len(forked) == forks
+    assert_no_child_left()
+
+
+def test_split_read_reaps_its_child_when_the_parent_half_raises(tmp_path, monkeypatch):
+    # the child's 10,000 rows (240 kB) do not fit in the pipe: it is still
+    # writing when the parent gives up, and must be stopped and reaped
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,y\n" + "1,2,0\n" * 20_000)
+    parent, parse = os.getpid(), data_io._parse_rows
+
+    def parent_fails(text):
+        if os.getpid() == parent:
+            raise RuntimeError("stop")
+        return parse(text)
+
+    monkeypatch.setattr(data_io, "_parse_rows", parent_fails)
+    with split_csv_reads() as forked, pytest.raises(RuntimeError, match="stop"):
+        load_csv(p, schema="generic", label_column="y")
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_split_read_falls_back_when_the_child_half_is_wider(tmp_path):
+    # the split falls where the rows widen, so each half parses on its own
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,c\n" + "1,2,0\n" * 20 + "1,2,0,5\n" * 14)
+    with split_csv_reads() as forked, pytest.raises(DataError) as two:
+        load_csv(p, schema="generic")
+    assert str(two.value).endswith("row 22 has 4 fields, the header has 3")
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_split_read_falls_back_when_the_child_exits_nonzero(tmp_path, monkeypatch):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,y\n" + _rows(30, 27))
+    one = load_csv(p, schema="generic", label_column="y")
+    parent, parse, exit = os.getpid(), data_io._parse_rows, os._exit
+    parsed = []
+
+    def counted(text):
+        if os.getpid() == parent:
+            parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(data_io, "_parse_rows", counted)
+    monkeypatch.setattr(os, "_exit", lambda code: exit(1))  # after sending every row
+    with split_csv_reads() as forked:
+        two = load_csv(p, schema="generic", label_column="y")
+    assert_same_load(one, two)
+    assert len(forked) == 1 and len(parsed) == 2  # the first half, then the whole body
+    assert_no_child_left()
+
+
+def test_split_read_only_from_the_threshold(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,y\n" + _rows(30, 26))
+    with split_csv_reads() as forked:  # which restores _SPLIT_BYTES on exit
+        data_io._SPLIT_BYTES = p.stat().st_size + 1
+        load_csv(p, schema="generic", label_column="y")
+        assert not forked
+        data_io._SPLIT_BYTES = p.stat().st_size
+        load_csv(p, schema="generic", label_column="y")
+    assert len(forked) == 1
+    assert data_io._SPLIT_BYTES == 2**23
 
 
 def test_synth_csv_bytes_pinned(tmp_path):

@@ -16,6 +16,7 @@ from dictad.data_io import ULB_FEATURES, load_csv, normalize, subsample
 from dictad.dictionary_learning import DLConfig
 from dictad.experiments import PARAMS
 from dictad.sparse_coding import CodingConfig
+from helpers import assert_no_child_left, split_csv_reads
 
 
 def test_confusion_all_correct():
@@ -354,7 +355,7 @@ def test_cli_malformed_input_exit_3(tmp_path, capsys, csv_text, preds_text):
 _ULB_HEADER = ",".join(["Time", *ULB_FEATURES, "Class"])
 
 
-@pytest.mark.parametrize("schema, csv_text, message", [
+_MALFORMED_CSV = pytest.mark.parametrize("schema, csv_text, message", [
     ("generic", "a,b,Class\n1,2,0\n3,4,1,5\n", "row 3 has 4 fields, the header has 3"),
     ("generic", "a,b,Class\n1,0\n3,1\n", "row 2 has 2 fields, the header has 3"),
     ("generic", "a,b,Class\n1,2#3,0\n3,4,1\n", "non-numeric cell '2#3' at row 2"),
@@ -366,21 +367,52 @@ _ULB_HEADER = ",".join(["Time", *ULB_FEATURES, "Class"])
      + ",0\n", "column 'V1' appears more than once in the header"),
 ], ids=["wide-row", "narrow-first-row", "hash-in-cell", "header-only", "ulb-time-text",
         "repeated-column", "ulb-repeated-v1"])
-def test_cli_malformed_csv_exit_3(tmp_path, capsys, schema, csv_text, message):
-    data, preds = tmp_path / "data.csv", tmp_path / "preds.txt"
-    data.write_text(csv_text)
-    preds.write_text("0\n1\n")
+
+
+def _eval_stderr(tmp_path, capsys, schema):
+    """eval on tmp_path's data.csv and preds.txt, warnings raised as errors:
+    (exit code, stderr)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main([
-            "eval", "--out", str(tmp_path / "o"), "--dataset", str(data),
-            "--schema", schema, "--label-column", "Class", "--predictions", str(preds),
+            "eval", "--out", str(tmp_path / "o"), "--dataset", str(tmp_path / "data.csv"),
+            "--schema", schema, "--label-column", "Class",
+            "--predictions", str(tmp_path / "preds.txt"),
         ])
-    err = capsys.readouterr().err
+    return rc, capsys.readouterr().err
+
+
+@_MALFORMED_CSV
+def test_cli_malformed_csv_exit_3(tmp_path, capsys, schema, csv_text, message):
+    (tmp_path / "data.csv").write_text(csv_text)
+    (tmp_path / "preds.txt").write_text("0\n1\n")
+    rc, err = _eval_stderr(tmp_path, capsys, schema)
     assert rc == 3
     assert err.startswith("data error: ")
     assert err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("half", ["parent", "child"])
+@_MALFORMED_CSV
+def test_cli_malformed_csv_split_read_same_message(tmp_path, capsys, schema, csv_text, message,
+                                                   half):
+    # 20 rows of zeros after the body put a faulty row in the parent's half,
+    # before it in the child's; a fault in the header stops the read earlier
+    header, body = csv_text.split("\n", 1)
+    pad = (",".join(["0"] * (header.count(",") + 1)) + "\n") * 20 if body else ""
+    (tmp_path / "data.csv").write_text(
+        header + "\n" + (body + pad if half == "parent" else pad + body))
+    (tmp_path / "preds.txt").write_text("0\n1\n")
+    one = _eval_stderr(tmp_path, capsys, schema)
+    with split_csv_reads() as forked:
+        two = _eval_stderr(tmp_path, capsys, schema)
+    assert two == one
+    assert one[0] == 3 and one[1].count("\n") == 1
+    assert half == "child" or message in one[1]
+    header_fault = "appears more than once" in message
+    assert len(forked) == (0 if header_fault or not body else 1)
+    assert_no_child_left()
 
 
 def test_normalize_variance_overflow_exit_3(tmp_path, capsys):

@@ -478,6 +478,10 @@ _MALFORMED = {
     "text-phi": {"phi": np.array("0.95")},
     "square-class-map": {"class_of_atom": np.zeros((8, 8), dtype=int)},
     "short-class-map": {"class_of_atom": np.zeros(7, dtype=int)},
+    "fractional-class": {"class_of_atom": np.full(8, 0.7)},
+    "negative-class": {"class_of_atom": np.full(8, -3)},
+    "unknown-class": {"class_of_atom": np.full(8, 9)},
+    "nan-class": {"class_of_atom": np.array([0.0] * 7 + [np.nan])},
     "tall-G": {"G": np.eye(9, 8)},
     "no-classes-W": {"W": np.zeros((0, 8))},
     "negative-G": {"G": -np.eye(8)},
@@ -530,6 +534,14 @@ def test_model_files_list_the_model_arrays_first(tmp_path):
     ("state", "square-class-map.npz", "is not a state file: class_of_atom is 2-d, not 1-d$"),
     ("state", "short-class-map.npz",
      r"is not a state file: class_of_atom has shape \(7,\), D has 8 atoms$"),
+    ("state", "fractional-class.npz",
+     r"is not a state file: class_of_atom holds 0.7, not a class of W \(0..1\)$"),
+    ("state", "negative-class.npz",
+     r"is not a state file: class_of_atom holds -3, not a class of W \(0..1\)$"),
+    ("state", "unknown-class.npz",
+     r"is not a state file: class_of_atom holds 9, not a class of W \(0..1\)$"),
+    ("state", "nan-class.npz",
+     r"is not a state file: class_of_atom holds nan, not a class of W \(0..1\)$"),
     ("state", "tall-G.npz", r"is not a state file: G has shape \(9, 8\), D has 8 atoms$"),
     ("state", "no-classes-W.npz", "is not a state file: W is empty$"),
     ("state", "negative-G.npz", "is not a state file: G is not symmetric positive definite$"),

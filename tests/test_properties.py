@@ -61,6 +61,7 @@ from dictad import sparse_coding
 from dictad.sparse_coding import _weighted_rows, residuals
 from dictad.data_io import _SIGNS, DataError
 
+from helpers import assert_no_child_left, assert_same_load, split_csv_reads
 from test_online import _sparse_cols
 from test_sparse_coding import naive_omp_oracle
 
@@ -712,10 +713,14 @@ def test_load_csv_equals_float_of_every_cell(m, N, labeled, data):
         p = Path(d) / "t.csv"
         p.write_text("\n".join(lines) + "\n")
         ds = load_csv(p, schema="generic", label_column="Class" if labeled else None)
+        with split_csv_reads():
+            split = load_csv(p, schema="generic", label_column="Class" if labeled else None)
     expected = [[float(t.strip().strip('"')) for t in row] for row in cells]
     assert np.array_equal(_bits(ds.Y), _bits(expected).T)
     assert ds.Y.dtype == np.float64 and ds.Y.strides == (8, 8 * m)
     assert (list(ds.labels) == labels) if labeled else ds.labels is None
+    assert_same_load(split, ds)
+    assert_no_child_left()
 
 
 def _old_save_csv_bytes(Y, labels, names):
