@@ -8,9 +8,9 @@ and A toward the estimated indicators, then applies the rank-one dictionary
 update. Every sample updates the model; there is no confidence gating.
 Atoms are not renormalized (that would invalidate G), so nothing anchors
 their scale: on long streams the atom norms grow by orders of magnitude
-while the codes, G and the gram-norm lambdas shrink to match. Forgetting
-also decays the ridge that keeps G invertible, and the diagonal entry of an
-atom the stream stops using, so every 100 updates the RLS step restores it.
+while the codes, G and the gram-norm lambdas shrink to match. Each update
+adds back the share of G's ridge that its forgetting took, so the ridge
+keeps G invertible at any phi, even for atoms the stream stops using.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DataError, NumericalError
+from .errors import CodingError, DataError, NumericalError
 from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, omp
 from .supervised import DiscriminativeModel, classify, load_model_file, save_model_file
 
-# updates between restores of the ridge that forgetting decays: at phi = 0.95
-# it decays to 0.95^100 ~ 6e-3 of itself in that time
-_RIDGE_EVERY = 100
+# updates between the finiteness checks of G and D
+_CHECK_EVERY = 100
 
 LAMBDA_POLICIES = ("gram-norm", "model-norms", "fixed")
 
@@ -126,11 +125,11 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(_svd(M)[0])
 
 
-def _ridge(G: np.ndarray) -> float:
-    """Conditioning ridge for G: 1e-8 times its mean diagonal entry. Summing
-    the diagonal view gives the bits of G.trace(), at about half its cost
-    when the call is cold, as in the stream's every-100 restore."""
-    return 1e-8 * float(np.add.reduce(G.diagonal())) / G.shape[0]
+def _ridge(diagonal: np.ndarray) -> float:
+    """Conditioning ridge for a Gram matrix G of this diagonal: 1e-8 times
+    its mean entry. np.add.reduce gives the bits of G.trace() at less cost,
+    which counts as the stream calls it at every update."""
+    return 1e-8 * float(np.add.reduce(diagonal)) / len(diagonal)
 
 
 def init_state(
@@ -160,7 +159,7 @@ def init_state(
     n = model.D.n
     with np.errstate(over="ignore", invalid="ignore"):  # finite codes whose squares overflow
         G = Xd @ Xd.T
-        G += _ridge(G) * np.eye(n)
+        G += _ridge(G.diagonal()) * np.eye(n)
     if not np.isfinite(G).all():
         raise NumericalError("warmup Gram matrix overflows: the warmup codes are too large")
     Ginv = _lapack("inv", "d->d", NumericalError,
@@ -175,31 +174,33 @@ def init_state(
 
 def rls_update(state: OnlineState, y: np.ndarray, x: SparseCode) -> float:
     """Rank-one recursive least-squares dictionary update with forgetting:
-    G <- phi G + x x^T, then D absorbs the a-priori residual r = y - D x as
-    D += r u^T, with the gain u = G^-1 x solved on the new G (a singular G
-    raises NumericalError). Every 100 updates the ridge removed by
-    forgetting is added back to G; a non-finite G or D at that point raises
-    NumericalError. Updates state in place and returns ||r||."""
+    G <- phi G + x x^T + (1 - phi) c I, with c the ridge of that G, so
+    forgetting does not wear the ridge down. D then absorbs the a-priori
+    residual r = y - D x as D += r u^T, with the gain u = G^-1 x solved on
+    the new G (a singular G raises NumericalError). A y with a NaN or inf
+    raises DataError before anything moves; every 100 updates a non-finite
+    G or D raises NumericalError. Updates state in place and returns ||r||."""
     xd = x.to_dense()
-    r = np.asarray(y, dtype=float) - state.model.D.atoms @ xd
+    y = np.asarray(y, dtype=float)
+    r = y - state.model.D.atoms @ xd
+    err = math.sqrt(r.dot(r))  # np.linalg.norm's arithmetic on a vector
+    if not err < math.inf and not np.isfinite(y).all():
+        raise DataError(f"sample {state.samples_seen + 1} holds a NaN or inf value")
     state.G *= state.phi
     state.G += xd[:, None] * xd
+    # numpy hands out G's diagonal as a read-only view, in any layout of G;
+    # flagged writeable, it writes through to G
+    diagonal = state.G.diagonal()
+    diagonal.flags.writeable = True
+    diagonal += (1.0 - state.phi) * _ridge(diagonal)
     state.model.D.atoms += r[:, None] * _gain(state.G, xd)
     state.samples_seen += 1
-    if state.samples_seen % _RIDGE_EVERY == 0:
-        # G += c I with its bits: c * 0.0 everywhere, as the identity's zeros
-        # add it (an off-diagonal -0.0 turns +0.0), then G_ii + c set on the
-        # diagonal through G.flat, which writes through for any layout
-        # (G.ravel() would copy a non-contiguous G)
-        c = (1.0 - state.phi**_RIDGE_EVERY) * _ridge(state.G)
-        ridged = state.G.diagonal() + c
-        state.G += c * 0.0
-        state.G.flat[::state.G.shape[0] + 1] = ridged
+    if state.samples_seen % _CHECK_EVERY == 0:
         if not (np.isfinite(state.G).all() and np.isfinite(state.model.D.atoms).all()):
             raise NumericalError(
                 f"online state became non-finite after {state.samples_seen} samples"
             )
-    return math.sqrt(r.dot(r))  # np.linalg.norm's arithmetic on a vector
+    return err
 
 
 def lambda_select(state: OnlineState):
@@ -256,10 +257,12 @@ def save_state(path, state: OnlineState):
 
 
 def load_state(path) -> OnlineState:
-    """Inverse of save_state. DataError as in load_model_file, and for a G
-    that is not finite, bitwise symmetric and positive definite. G comes
-    back as float64, as the model's arrays do, so the stream updates it in
-    place."""
+    """Inverse of save_state. DataError as in load_model_file, for a G
+    that is not finite, bitwise symmetric and positive definite, a phi
+    outside (0, 1], a samples_seen that is not a count, a coding_s that is
+    not a sparsity of D's atoms and a residual_tol that CodingConfig
+    refuses. G comes back as float64, as the model's arrays do, so the
+    stream updates it in place."""
     model, z = load_model_file(path, "state", (
         "G", "phi", "policy_kind", "policy_lambda1", "policy_lambda2", "samples_seen",
         "coding_s", "coding_residual_tol"))
@@ -271,8 +274,19 @@ def load_state(path) -> OnlineState:
         sound = False
     if not sound:
         raise DataError(f"{path} is not a state file: G is not symmetric positive definite")
+    phi, seen, s = (float(z[k]) for k in ("phi", "samples_seen", "coding_s"))
+    for fault, what in ((not 0.0 < phi <= 1.0, f"phi is {phi}, not in (0, 1]"),
+                        (not (seen >= 0 and seen.is_integer()),
+                         f"samples_seen is {z['samples_seen']}, not a count"),
+                        (not (1 <= s <= model.D.n and s.is_integer()),
+                         f"coding_s is {z['coding_s']}, not a sparsity in 1..{model.D.n}")):
+        if fault:
+            raise DataError(f"{path} is not a state file: {what}")
+    try:
+        coding = CodingConfig(int(s), float(z["coding_residual_tol"]))
+    except CodingError as e:
+        raise DataError(f"{path} is not a state file: {e}") from None
     policy = LambdaPolicy(
         str(z["policy_kind"]), float(z["policy_lambda1"]), float(z["policy_lambda2"])
     )
-    return OnlineState(model, G, float(z["phi"]), policy, int(z["samples_seen"]),
-                       CodingConfig(int(z["coding_s"]), float(z["coding_residual_tol"])))
+    return OnlineState(model, G, phi, policy, int(z["samples_seen"]), coding)

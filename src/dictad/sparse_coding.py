@@ -143,8 +143,8 @@ class CodingConfig:
     def __post_init__(self):
         if self.s < 1:
             raise CodingError("sparsity must be >= 1")
-        if self.residual_tol < 0:
-            raise CodingError("residual_tol must be nonnegative")
+        if not 0 <= self.residual_tol < math.inf:  # refuses NaN too
+            raise CodingError("residual_tol must be finite and nonnegative")
 
 
 # Signals coded in one lockstep pass; bounds the kernel's (chunk x s x n)

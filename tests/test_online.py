@@ -157,7 +157,7 @@ def test_rls_streaming_equals_batch_least_squares():
 
 
 def test_rls_corrupted_state_detected(capfd):
-    # a zero G, then x x^T, is singular at an update that is not a restore
+    # a zero G, then x x^T, is singular at an update that is not a check
     D, _, _ = planted_instance(6, 4, 4, 2, seed=4)
     X = SparseCodeMatrix.from_dense(np.eye(4))
     st = init_state(_model(D), D @ np.eye(4), X, phi=1.0, coding=CodingConfig(2))
@@ -185,11 +185,12 @@ def _small_phi_stream(phi, unused, seed):
     return st, updates
 
 
-@pytest.mark.parametrize("phi", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("phi", [1e-4, 1e-3, 0.1, 0.3, 0.5])
 @pytest.mark.parametrize("unused", [0, 1, 3])
 def test_rls_streams_at_small_forgetting_factors(phi, unused):
-    # strong forgetting leaves G near the sum of the last few x x^T, and the
-    # stream goes on with no error, no numpy warning and a finite D
+    # strong forgetting leaves G near the sum of the last few x x^T plus the
+    # ridge, and the stream goes on with no error, no numpy warning and a
+    # finite D
     st, updates = _small_phi_stream(phi, unused, seed=int(phi * 100) + unused)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -201,20 +202,16 @@ def test_rls_streams_at_small_forgetting_factors(phi, unused):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_rls_at_phi_0_01_streams_or_refuses_without_corrupting(seed):
-    # At phi = 0.01 two atoms unused for ~8 updates keep diagonals below
-    # eps * x x^T, so an update that uses both can leave G singular in
-    # floating point. The update then refuses before D moves.
+    # At phi = 0.01 two atoms unused for ~8 updates would keep diagonals
+    # below eps * x x^T, and an update that uses both would leave G singular
+    # in floating point. The ridge that each update keeps on G's diagonal
+    # rules that out: every update streams.
     st, updates = _small_phi_stream(0.01, seed % 3, seed=100 + seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for y, x in updates:
-            D = st.model.D.atoms.copy()
-            try:
-                rls_update(st, y, x)
-            except NumericalError as e:
-                assert str(e) == "online Gram matrix became singular"
-                assert np.array_equal(st.model.D.atoms, D)
-                break
+            rls_update(st, y, x)
+    assert st.samples_seen == 1520
     assert np.isfinite(st.model.D.atoms).all()
 
 
@@ -487,6 +484,17 @@ _MALFORMED = {
     "negative-G": {"G": -np.eye(8)},
     "asymmetric-G": {"G": np.eye(8) + np.eye(8, k=1)},  # its lower triangle factors
     "inf-G": {"G": np.diag([np.inf] + [1.0] * 7)},
+    "phi-above-1": {"phi": np.float64(2.0)},
+    "negative-phi": {"phi": np.float64(-1.0)},
+    "zero-phi": {"phi": np.float64(0.0)},
+    "nan-phi": {"phi": np.float64(np.nan)},
+    "negative-samples-seen": {"samples_seen": np.int64(-5)},
+    "fractional-samples-seen": {"samples_seen": np.float64(2.5)},
+    "zero-sparsity": {"coding_s": np.int64(0)},
+    "sparsity-above-atoms": {"coding_s": np.int64(99)},
+    "nan-residual-tol": {"coding_residual_tol": np.float64(np.nan)},
+    "inf-residual-tol": {"coding_residual_tol": np.float64(np.inf)},
+    "negative-residual-tol": {"coding_residual_tol": np.float64(-1.0)},
 }
 
 
@@ -547,6 +555,22 @@ def test_model_files_list_the_model_arrays_first(tmp_path):
     ("state", "negative-G.npz", "is not a state file: G is not symmetric positive definite$"),
     ("state", "asymmetric-G.npz", "is not a state file: G is not symmetric positive definite$"),
     ("state", "inf-G.npz", "is not a state file: G is not symmetric positive definite$"),
+    ("state", "phi-above-1.npz", r"is not a state file: phi is 2.0, not in \(0, 1\]$"),
+    ("state", "negative-phi.npz", r"is not a state file: phi is -1.0, not in \(0, 1\]$"),
+    ("state", "zero-phi.npz", r"is not a state file: phi is 0.0, not in \(0, 1\]$"),
+    ("state", "nan-phi.npz", r"is not a state file: phi is nan, not in \(0, 1\]$"),
+    ("state", "negative-samples-seen.npz", "is not a state file: samples_seen is -5, not a count$"),
+    ("state", "fractional-samples-seen.npz",
+     "is not a state file: samples_seen is 2.5, not a count$"),
+    ("state", "zero-sparsity.npz", r"is not a state file: coding_s is 0, not a sparsity in 1\.\.8$"),
+    ("state", "sparsity-above-atoms.npz",
+     r"is not a state file: coding_s is 99, not a sparsity in 1\.\.8$"),
+    ("state", "nan-residual-tol.npz",
+     "is not a state file: residual_tol must be finite and nonnegative$"),
+    ("state", "inf-residual-tol.npz",
+     "is not a state file: residual_tol must be finite and nonnegative$"),
+    ("state", "negative-residual-tol.npz",
+     "is not a state file: residual_tol must be finite and nonnegative$"),
 ], ids=["model-as-state", "state-as-model", "csv-as-state", "csv-as-model", "truncated",
         "missing", "state-version", *_MALFORMED])
 def test_load_wrong_file_raises_data_error(tmp_path, kind, name, message):
@@ -555,8 +579,32 @@ def test_load_wrong_file_raises_data_error(tmp_path, kind, name, message):
         loaders[kind](tmp_path / name)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entries", [slice(3, 4), slice(None)], ids=["one", "all"])
+def test_non_finite_sample_raises_before_the_state_moves(tmp_path, bad, entries):
+    # on a checkpoint's state, through toddler_step and through rls_update:
+    # G, D and samples_seen keep their bytes, and W and A their values
+    st, Dt = _toy_state(seed=21, phi=0.95)
+    save_state(tmp_path / "checkpoint.npz", st)
+    st = load_state(tmp_path / "checkpoint.npz")
+    y = Dt[:, 0] + Dt[:, 5]
+    y[entries] = bad
+    kept = (st.G.tobytes(), st.model.D.atoms.tobytes(), st.samples_seen)
+    W, A = st.model.W.copy(), st.model.A.copy()
+    message = f"^sample {st.samples_seen + 1} holds a NaN or inf value$"
+    # OMP codes such a y empty; an all-inf y meets inf - inf in its
+    # correlations, which numpy flags as invalid
+    with np.errstate(invalid="ignore"), pytest.raises(DataError, match=message):
+        toddler_step(st, y)
+    with pytest.raises(DataError, match=message):
+        rls_update(st, y, SparseCode([0, 5], [1.0, -0.5], 8))
+    assert (st.G.tobytes(), st.model.D.atoms.tobytes(), st.samples_seen) == kept
+    assert np.array_equal(st.model.W, W) and np.array_equal(st.model.A, A)
+
+
 def test_rls_unused_atom_under_forgetting_stays_finite():
     # atom n-1 is never in a support, so its Gram diagonal decays like phi^t
+    # until the ridge that each update adds back holds it
     rng = np.random.default_rng(15)
     m, n, s = 10, 12, 3
     Dt, _, _ = planted_instance(m, n, 1, 1, seed=15)
@@ -650,8 +698,8 @@ def test_toddler_step_non_finite_gram_raises(capfd):
     assert capfd.readouterr().err == ""
 
 
-def _state_before_restore():
-    # the next update is the 100th: it restores the ridge and checks G and D
+def _state_before_check():
+    # the next update is the 100th: it checks that G and D are finite
     D, _, _ = planted_instance(6, 4, 4, 2, seed=19)
     st = init_state(_model(D), D @ np.eye(4), SparseCodeMatrix.from_dense(np.eye(4)), phi=0.95,
                     coding=CodingConfig(2))
@@ -659,9 +707,10 @@ def _state_before_restore():
     return st
 
 
-def test_rls_restore_singular_gram_raises_without_lapack_output(capfd):
-    # G = 0 stays 0 under an empty code's x x^T, and the gain's solve meets it
-    st = _state_before_restore()
+def test_rls_checked_update_singular_gram_raises_without_lapack_output(capfd):
+    # G = 0 stays 0 under an empty code's x x^T and its zero ridge, and the
+    # gain's solve meets it
+    st = _state_before_check()
     st.G[:] = 0.0
     with pytest.raises(NumericalError, match="^online Gram matrix became singular$"):
         rls_update(st, np.zeros(6), SparseCode([], [], 4))
@@ -669,8 +718,8 @@ def test_rls_restore_singular_gram_raises_without_lapack_output(capfd):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_rls_restore_non_finite_dictionary_raises_without_lapack_output(capfd, bad):
-    st = _state_before_restore()
+def test_rls_checked_update_non_finite_dictionary_raises_without_lapack_output(capfd, bad):
+    st = _state_before_check()
     st.model.D.atoms[2, 1] = bad
     with np.errstate(invalid="ignore"):  # the a-priori residual's inf * 0
         with pytest.raises(NumericalError,
@@ -679,34 +728,36 @@ def test_rls_restore_non_finite_dictionary_raises_without_lapack_output(capfd, b
     assert capfd.readouterr().err == ""
 
 
+def _toddler_run_digest(config, out):
+    """SHA-256 over the bytes of a toddler run's predictions.csv and of
+    every checkpoint array, by name."""
+    run_experiment("toddler", config, out)
+    h = hashlib.sha256((out / "predictions.csv").read_bytes())
+    with np.load(out / "checkpoint.npz") as z:
+        for key in sorted(z.files):
+            h.update(key.encode() + z[key].tobytes())
+    return h.hexdigest()
+
+
 def test_toddler_run_bytes_pinned(tmp_path):
-    # pinned bytes of a small seeded stream that crosses three ridge restores:
-    # neither predictions.csv nor any checkpoint array may move by a bit
-    run_experiment("toddler", {
+    # pinned bytes of a small seeded stream that crosses three finiteness
+    # checks: neither predictions.csv nor any checkpoint array may move by a bit
+    assert _toddler_run_digest({
         "synth": {"n_normal": 300, "n_anomaly": 30, "m": 12, "normal_atoms": 6,
                   "anomaly_atoms": 4, "s_gen": 3, "noise_sigma": 0.05, "seed": 11},
         "sparsity": 3, "stage_atoms": 6, "dl_iterations": 5, "atoms_per_class": 6,
         "pretrain_fraction": 0.2, "seed": 4,
-    }, tmp_path)
-    h = hashlib.sha256((tmp_path / "predictions.csv").read_bytes())
-    with np.load(tmp_path / "checkpoint.npz") as z:
-        for key in sorted(z.files):
-            h.update(key.encode() + z[key].tobytes())
-    assert h.hexdigest() == "f9a06c9e950a35aeba9728bd2bd604517b4e2343e46164cc12f2eacf4ace1f1e"
+    }, tmp_path) == "7414d03f24ef5966c5b751fb2960318940c742045ed20860fc6a7ea666a88aaf"
 
 
 def test_toddler_run_bytes_pinned_at_bench_shapes(tmp_path):
     # the stream bench's shapes (m = 29, 2 x 8 atoms, s = 5, z-scored): 320
-    # streamed samples cross four ridge restores, and no byte may move
-    run_experiment("toddler", {
+    # streamed samples cross four finiteness checks, and no byte may move
+    assert _toddler_run_digest({
         "synth": {"n_normal": 380, "n_anomaly": 20, "m": 29, "normal_atoms": 16,
                   "anomaly_atoms": 8, "s_gen": 4, "noise_sigma": 0.1, "seed": 16},
         "normalize": True, "sparsity": 5, "dl_iterations": 5, "atoms_per_class": 8,
         "pretrain_fraction": 0.2, "seed": 7,
-    }, tmp_path)
-    h = hashlib.sha256((tmp_path / "predictions.csv").read_bytes())
+    }, tmp_path) == "79331e4c12926ccddf61629d3893af1370b98f0d25c361ff5388ac7400ba0d1a"
     with np.load(tmp_path / "checkpoint.npz") as z:
         assert int(z["samples_seen"]) == 400
-        for key in sorted(z.files):
-            h.update(key.encode() + z[key].tobytes())
-    assert h.hexdigest() == "3a0dda1be63eabc5411ded3e3225b2a9040c9cbd5af7612a718d674ecf496f81"

@@ -2,8 +2,8 @@
 statistics (m, n, s, N), including all-zero and exactly representable
 signals; both OMP paths against the kernel that tests every early exit on
 the exact residual; the phi = 1 RLS stream against batch least squares; the
-RLS ridge restore against its np.eye/np.linalg.solve form, and the solved
-gain against a Sherman-Morrison inverse; the AK-SVD objective trace, and
+RLS update against its fill_diagonal/np.linalg.solve form, and the solved gain
+against a Sherman-Morrison inverse; the AK-SVD objective trace, and
 train's bytes against its loop that formed every residual anew; CSV
 reading and writing against per-value oracles;
 the block-drawn synthetic generator against its per-sample draws; library
@@ -55,7 +55,7 @@ from dictad import (
     train,
 )
 from dictad import data_io
-from dictad.online import _RIDGE_EVERY
+from dictad.online import _CHECK_EVERY
 from dictad.dictionary_learning import _sign_fix, atom_update_pass
 from dictad import sparse_coding
 from dictad.sparse_coding import _weighted_rows, residuals
@@ -415,7 +415,7 @@ def test_exit_bound_keeps_the_exact_exit(instance):
        st.integers(1, 250), st.integers(0, 2**32 - 1))
 def test_rls_at_phi_1_equals_batch_least_squares(s, extra_atoms, m, warm_factor, n_stream, seed):
     # The stream starts from the least-squares fit of a warm-up of at least 3n
-    # columns and may cross the periodic ridge restore at 100 updates. init_state
+    # columns and may cross the finiteness check at 100 updates. init_state
     # keeps a 1e-8 * mean-diagonal ridge in G for conditioning, so the batch
     # problem that RLS solves exactly carries that ridge too.
     n = s + extra_atoms
@@ -442,22 +442,22 @@ def _ridge_through_trace(G):
     return 1e-8 * np.trace(G) / G.shape[0]
 
 
-def _eye_restore_rls_update(state, y, x):
-    # rls_update with the ridge restore that adds c * np.eye(n), and the gain
+def _reference_rls_update(state, y, x):
+    # rls_update with the ridge added through np.fill_diagonal, and the gain
     # from np.linalg.solve
     xd = x.to_dense()
     r = np.asarray(y, dtype=float) - state.model.D.atoms @ xd
     state.G *= state.phi
     state.G += xd[:, None] * xd
+    np.fill_diagonal(state.G,
+                     state.G.diagonal() + (1.0 - state.phi) * _ridge_through_trace(state.G))
     try:
         u = np.linalg.solve(state.G, xd)
     except np.linalg.LinAlgError:
         raise NumericalError("online Gram matrix became singular") from None
     state.model.D.atoms += r[:, None] * u
     state.samples_seen += 1
-    if state.samples_seen % _RIDGE_EVERY == 0:
-        n = state.G.shape[0]
-        state.G += (1.0 - state.phi**_RIDGE_EVERY) * _ridge_through_trace(state.G) * np.eye(n)
+    if state.samples_seen % _CHECK_EVERY == 0:
         if not all(np.all(np.isfinite(M)) for M in (state.G, state.model.D.atoms)):
             raise NumericalError(
                 f"online state became non-finite after {state.samples_seen} samples"
@@ -465,20 +465,22 @@ def _eye_restore_rls_update(state, y, x):
     return math.sqrt(r.dot(r))  # np.linalg.norm's arithmetic on a vector
 
 
-def _sherman_morrison_rls_update(D, G, Ginv, phi, t, y, xd):
-    # the RLS update that carried Ginv beside G: Sherman-Morrison per update,
-    # G's ridge restored and Ginv inverted anew every 100th; returns t + 1
-    u = (Ginv @ xd) / phi
-    alpha = 1.0 / (1.0 + float(xd @ u))
-    D += alpha * np.outer(y - D @ xd, u)
+def _sherman_morrison_rls_update(D, G, Ginv, phi, y, xd):
+    # the RLS update that carries Ginv beside G. At phi = 1 the ridge add is
+    # zero and Ginv takes the Sherman-Morrison rank-one update; below 1 the
+    # diagonal add is not rank-one, and Ginv is inverted anew from G
+    r = y - D @ xd
     G *= phi
     G += np.outer(xd, xd)
-    Ginv /= phi
-    Ginv -= alpha * np.outer(u, u)
-    if (t + 1) % _RIDGE_EVERY == 0:
-        G += (1.0 - phi**_RIDGE_EVERY) * _ridge_through_trace(G) * np.eye(len(G))
+    if phi == 1.0:
+        u = Ginv @ xd
+        alpha = 1.0 / (1.0 + float(xd @ u))
+        Ginv -= alpha * np.outer(u, u)
+        D += alpha * np.outer(r, u)
+    else:
+        G += (1.0 - phi) * _ridge_through_trace(G) * np.eye(len(G))
         Ginv[:] = np.linalg.inv(G)
-    return t + 1
+        D += np.outer(r, Ginv @ xd)
 
 
 def _update_outcome(update, state, y, x):
@@ -492,12 +494,12 @@ def _update_outcome(update, state, y, x):
 @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 3), st.integers(2, 10),
        st.integers(3, 5), st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
        st.integers(100, 250), st.integers(0, 2**32 - 1))
-def test_rls_restore_keeps_the_bits_of_the_eye_restore(s, extra_atoms, unused, m, warm_factor,
-                                                       phi, n_stream, seed):
+def test_rls_update_keeps_the_bits_of_the_solve_reference(s, extra_atoms, unused, m,
+                                                          warm_factor, phi, n_stream, seed):
     # Reachable states: init_state from warm-up codes that never use the last
     # `unused` atoms, then a stream over the same atoms of at least 100
-    # updates, so it crosses a restore. At phi = 1 the restore adds a zero
-    # ridge. Small phi can wreck the state; then both sides must fail alike.
+    # updates, so it crosses a finiteness check. At phi = 1 the ridge add is
+    # zero. Should an update fail, both sides must fail alike.
     k = s + extra_atoms
     n = k + unused
     rng = np.random.default_rng(seed)
@@ -513,7 +515,7 @@ def test_rls_restore_keeps_the_bits_of_the_eye_restore(s, extra_atoms, unused, m
             x = SparseCode(rng.choice(k, s, replace=False), rng.standard_normal(s), n)
             y = Dt @ x.to_dense() + 0.05 * rng.standard_normal(m)
             got = _update_outcome(rls_update, state, y, x)
-            want = _update_outcome(_eye_restore_rls_update, ref, y, x)
+            want = _update_outcome(_reference_rls_update, ref, y, x)
             assert str(got) == str(want)  # the a-priori error, NaN included, or the message
             for a, b in ((state.G, ref.G), (state.model.D.atoms, ref.model.D.atoms)):
                 assert a.tobytes() == b.tobytes()
@@ -523,11 +525,13 @@ def test_rls_restore_keeps_the_bits_of_the_eye_restore(s, extra_atoms, unused, m
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 6), st.integers(2, 10), st.integers(3, 5),
-       st.floats(0.9, 1.0), st.integers(1, 250), st.integers(0, 2**32 - 1))
+       st.one_of(st.just(1.0), st.floats(0.9, 1.0)), st.integers(1, 250),
+       st.integers(0, 2**32 - 1))
 def test_rls_solve_form_matches_sherman_morrison(s, extra_atoms, m, warm_factor, phi, n_stream,
                                                  seed):
-    # The gain solved on G each update equals the one a Sherman-Morrison
-    # inverse carried, up to rounding, across a restore at 100 updates.
+    # The gain solved on G each update equals, up to rounding, the one from a
+    # Sherman-Morrison inverse carried at phi = 1, or from the inverse of
+    # the reference G below 1.
     n = s + extra_atoms
     rng = np.random.default_rng(seed)
     Dt = rng.standard_normal((m, n))
@@ -536,20 +540,22 @@ def test_rls_solve_form_matches_sherman_morrison(s, extra_atoms, m, warm_factor,
                                 np.arange(n) % 2)
     state = init_state(model, Dt @ Xw, SparseCodeMatrix.from_dense(Xw), phi=phi,
                        coding=CodingConfig(s))
-    D, G, t = Dt.copy(), state.G.copy(), state.samples_seen
+    D, G = Dt.copy(), state.G.copy()
     Ginv = np.linalg.inv(G)
     for _ in range(n_stream):
         x = SparseCode(rng.choice(n, s, replace=False), rng.standard_normal(s), n)
         y = Dt @ x.to_dense() + 0.05 * rng.standard_normal(m)
         rls_update(state, y, x)
-        t = _sherman_morrison_rls_update(D, G, Ginv, phi, t, y, x.to_dense())
+        _sherman_morrison_rls_update(D, G, Ginv, phi, y, x.to_dense())
     assert np.array_equal(state.G, G)
     assert np.linalg.norm(state.model.D.atoms - D) <= 1e-9 * np.linalg.norm(D)
 
 
-def test_rls_restore_turns_an_off_diagonal_negative_zero_positive():
-    # np.eye's zeros add +0.0 off the diagonal, which turns a -0.0 there into
-    # +0.0. Streams seen so far never hold one; a hand-made checkpoint may.
+def test_rls_update_keeps_a_negative_zero_pair_symmetric():
+    # A hand-made checkpoint may hold -0.0 off G's diagonal, and so may a
+    # stream whose phi G underflows. The ridge goes on the diagonal alone, so
+    # the pair keeps its bits and G stays bitwise symmetric, which
+    # load_state and spectral_norm rely on.
     n = 4
     Dt = np.random.default_rng(20).standard_normal((6, n))
     model = DiscriminativeModel(Dictionary(Dt.copy()), np.zeros((2, n)), np.zeros((n, n)),
@@ -557,13 +563,11 @@ def test_rls_restore_turns_an_off_diagonal_negative_zero_positive():
     state = init_state(model, Dt, SparseCodeMatrix.from_dense(np.eye(n)), phi=0.95,
                        coding=CodingConfig(2))
     state.G[0, 1] = state.G[1, 0] = -0.0
-    state.samples_seen = 99
-    ref = copy.deepcopy(state)
-    x = SparseCode([1], [-1.0], n)  # x x^T adds 0 * -1.0 = -0.0 at (0, 1)
-    assert rls_update(state, np.ones(6), x) == _eye_restore_rls_update(ref, np.ones(6), x)
-    assert not np.signbit(ref.G[0, 1])
-    for a, b in ((state.G, ref.G), (state.model.D.atoms, ref.model.D.atoms)):
-        assert a.tobytes() == b.tobytes()
+    x = SparseCode([1], [-1.0], n)  # x x^T adds 0 * -1.0 = -0.0 at (0, 1) and (1, 0)
+    for _ in range(3):
+        rls_update(state, np.ones(6), x)
+    assert np.signbit(state.G[0, 1]) and np.signbit(state.G[1, 0])
+    assert state.G.tobytes() == state.G.T.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

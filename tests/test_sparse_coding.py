@@ -96,6 +96,17 @@ def test_sparsity_above_atom_count_rejected():
         omp(D, np.ones(4), CodingConfig(4))
 
 
+@pytest.mark.parametrize("s, residual_tol, message", [
+    (0, 0.0, "^sparsity must be >= 1$"),
+    (2, -1.0, "^residual_tol must be finite and nonnegative$"),
+    (2, np.nan, "^residual_tol must be finite and nonnegative$"),
+    (2, np.inf, "^residual_tol must be finite and nonnegative$"),
+], ids=["zero-sparsity", "negative-tol", "nan-tol", "inf-tol"])
+def test_coding_config_refuses_bad_parameters(s, residual_tol, message):
+    with pytest.raises(CodingError, match=message):
+        CodingConfig(s, residual_tol)
+
+
 @pytest.mark.parametrize("support, values, message", [
     ([1, 3, 1], [1.0, 2.0, 3.0], "duplicate indices"),
     ([-1, 2], [1.0, 2.0], "out of range"),
