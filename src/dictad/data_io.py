@@ -8,6 +8,7 @@ of Y (features x samples).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -121,23 +122,83 @@ def _lines(raw):
     return io.TextIOWrapper(raw, encoding="utf-8", newline="")
 
 
-def _read_halves(path):
-    """The body rows of the CSV at path, parsed in two processes: a forked
-    child parses the lines after the first '\\n' past the body's middle and
-    sends its rows back as float64 bytes over a pipe, while this process
-    parses the lines before it. A number holds no '"', so in a half that
-    parses each '"' opens or closes a quoted cell: with an even number of
-    them before it, the split is a line end outside any quoted field, and
-    the rows are those of one parse of the whole body. None, for the caller
-    to parse the body in one process (and so raise its usual errors), when
-    the file is under _SPLIT_BYTES, fewer than 2 CPUs are available (counted
-    by os.sched_getaffinity, so only on Linux), the header line holds a
-    lone CR, the number of '"' before the split is odd, either half fails
-    or the widths differ. The caller has checked that the header is one
-    line."""
+def _cpus():
+    """The CPUs this process may run on: counted by os.sched_getaffinity,
+    so only on Linux, else 1."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextlib.contextmanager
+def _forked(child, mode):
+    """Run child(pipe) in a forked process while the block runs in this one,
+    joined by a new pipe: mode "rb" makes the child write to it and this
+    process read, "wb" the other way round. Yields (pipe, finished), pipe
+    being this process's end as a binary file: finished() closes it, waits
+    for the child and tells whether child returned (an exception exits the
+    child with status 1). Yields None when fork fails (e.g. at the process
+    limit). A child not waited for when the block ends is killed and reaped."""
+    r, w = os.pipe()
+    mine, theirs = (r, w) if mode == "rb" else (w, r)
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns that a child forked from a process with other
+        # threads (OpenBLAS's idle workers) may deadlock on a lock one of
+        # them held. The children here take no such lock: they parse or
+        # format numbers, use their pipe and file, and leave through os._exit.
+        warnings.filterwarnings("ignore", "This process .*multi-threaded", DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+    if pid is None:
+        os.close(r)
+        os.close(w)
+        yield None
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(mine)
+            with open(theirs, "wb" if mode == "rb" else "rb") as pipe:
+                child(pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(theirs)
+    pipe = open(mine, mode)
+    status = None
+
+    def finished():
+        nonlocal status
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+        return os.waitstatus_to_exitcode(status) == 0
+
+    try:
+        yield pipe, finished
+    finally:
+        if status is None:  # killed before its end of the pipe sees this one close
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        pipe.close()
+
+
+def _read_halves(path, width, fidx, lidx):
+    """The feature columns fidx (an N x m C-ordered array) and the label
+    column lidx (None when lidx is) of the CSV body at path, whose rows must
+    be width wide, parsed in two processes: a forked child parses the lines
+    after the first '\\n' past the body's middle and sends back its columns
+    as float64 bytes over a pipe, while this process parses the lines before
+    it and copies its columns into the array's first rows. A number holds no
+    '"', so in a half that parses each '"' opens or closes a quoted cell:
+    with an even number of them before it, the split is a line end outside
+    any quoted field, and the rows are those of one parse of the whole body.
+    None, for the caller to parse the body in one process (and so raise its
+    usual errors), when the file is under _SPLIT_BYTES, fewer than 2 CPUs
+    are available, the header line holds a lone CR, the number of '"' before
+    the split is odd, either half fails or is not width wide, or neither
+    holds a row. The caller has checked that the header is one line."""
     size = os.path.getsize(path)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if size < _SPLIT_BYTES or cpus < 2:
+    if size < _SPLIT_BYTES or _cpus() < 2:
         return None
     with open(path, "rb") as raw:
         head = raw.readline()
@@ -148,52 +209,43 @@ def _read_halves(path):
         first = raw.read(mid - len(head))
     if b"\r" in head[:-2] or mid >= size or first.count(b'"') % 2:
         return None
-    r, w = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns that a child forked from a process with other
-        # threads (OpenBLAS's idle workers) may deadlock on a lock one of
-        # them held. The child below takes no such lock: it parses text,
-        # writes to its pipe and leaves through os._exit.
-        warnings.filterwarnings("ignore", "This process .*multi-threaded", DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:  # e.g. at the process limit
-            os.close(r)
-            os.close(w)
+
+    def child(pipe):
+        with open(path, "rb") as raw:
+            raw.seek(mid)
+            rows = _parse_rows(_lines(raw))
+        pipe.write(np.array(rows.shape, dtype=np.int64).tobytes())
+        pipe.flush()  # the parent copies its columns while this process copies these
+        if rows.shape[1] == width:
+            pipe.write(rows.take(fidx, axis=1))
+            if lidx is not None:
+                pipe.write(np.ascontiguousarray(rows[:, lidx]))
+
+    with _forked(child, "rb") as fork:
+        if fork is None:
             return None
-    if pid == 0:
-        code = 1
+        pipe, finished = fork
         try:
-            os.close(r)
-            with open(path, "rb") as raw, open(w, "wb") as out:
-                raw.seek(mid)
-                rows = _parse_rows(_lines(raw))
-                out.write(np.array(rows.shape, dtype=np.int64).tobytes())
-                out.write(rows)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    M = None
-    try:
-        with open(r, "rb") as pipe:
             top = _parse_rows(_lines(io.BytesIO(first)))
             del first
-            n, width = np.frombuffer(pipe.read(16), dtype=np.int64)
-            if width == top.shape[1]:
-                M = np.empty((len(top) + n, width))
-                M[:len(top)] = top
-                tail = M[len(top):]
-                del top
-                if pipe.readinto(tail) != tail.nbytes:
-                    M = None
-    except ValueError:  # the first half does not parse, or the child sent no shape
-        M = None
-    finally:
-        if M is None:  # the child's rows are not needed: it need not finish them
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    return M if os.waitstatus_to_exitcode(status) == 0 else None
+            n, got = np.frombuffer(pipe.read(16), dtype=np.int64)
+        except ValueError:  # the first half does not parse, or the child sent no shape
+            return None
+        if top.shape[1] != width or got != width or len(top) + n == 0:
+            return None  # the child's rows are not needed
+        X = np.empty((len(top) + n, len(fidx)))
+        # fidx is in range: mode="clip" skips the buffered copy that "raise" makes
+        np.take(top, fidx, axis=1, out=X[:len(top)], mode="clip")
+        tails = [X[len(top):]]
+        label = None
+        if lidx is not None:
+            label = np.empty(len(X))
+            label[:len(top)] = top[:, lidx]
+            tails.append(label[len(top):])
+        del top
+        if any(pipe.readinto(t) != t.nbytes for t in tails) or not finished():
+            return None
+    return X, label
 
 
 def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Dataset:
@@ -235,24 +287,28 @@ def _read_csv(f, path, schema: str, label_column: str | None) -> Dataset:
         raise DataError(f"{path}: missing expected columns {missing}")
     fidx = [header.index(c) for c in features]
     lidx = header.index(label_column) if label_column is not None else None
-    M = _read_halves(path) if reader.line_num == 1 else None
-    if M is None:
+    halves = _read_halves(path, len(header), fidx, lidx) if reader.line_num == 1 else None
+    if halves is None:
         try:
             M = _parse_rows(f)
         except ValueError as e:
             _raise_row_error(path, header, lidx, e)
-    if M.shape[0] == 0:
-        raise DataError(f"{path}: no data rows")
-    if M.shape[1] != len(header) or (lidx is not None and not np.isin(M[:, lidx], (0, 1)).all()):
+        if M.shape[0] == 0:
+            raise DataError(f"{path}: no data rows")
+        if M.shape[1] != len(header):
+            _raise_row_error(path, header, lidx, "rows do not match the header")
+        halves = M.take(fidx, axis=1), None if lidx is None else M[:, lidx]
+    X, label = halves
+    if label is not None and not np.isin(label, (0, 1)).all():
         _raise_row_error(path, header, lidx, "rows do not match the header")
-    # M is C-ordered N x m, so Y is m x N with strides (8, 8m): normalize's sums follow that layout
-    Y = M.take(fidx, axis=1).T
+    # X is C-ordered N x m, so Y is m x N with strides (8, 8m): normalize's sums follow that layout
+    Y = X.T
     if not np.all(np.isfinite(Y)):
         j, i = np.argwhere(~np.isfinite(Y))[0]
         raise DataError(f"{path}: non-finite value in data row {i + 1}, column {features[j]!r}")
     return Dataset(
         Y,
-        M[:, lidx].astype(int) if lidx is not None else None,
+        label.astype(int) if label is not None else None,
         list(features),
         {"source": str(path), "schema": schema},
     )
@@ -261,6 +317,10 @@ def _read_csv(f, path, schema: str, label_column: str | None) -> Dataset:
 # save_csv formats this many rows per write; blocks of 4,096 rows (5 MB of
 # slots at 29 features) ran ~1.6x slower on a 2-CPU host
 _SAVE_ROWS = 1024
+# save_csv formats a dataset of at least this many samples in two processes.
+# On 2 CPUs, 29 features, 2,048 rows wrote in 1.37x the one-process time,
+# 4,096 in 0.98x and 8,192 in 0.79x: the fork and the child's exit cost ~10 ms
+_SPLIT_ROWS = 8192
 _U64 = np.uint64
 # 5^k for k = 0..20 in 32-bit limbs: 1e-4 <= |x| < 1e17 needs 10^k with
 # k = 16 - X for the decimal exponent X in -4..16
@@ -386,26 +446,61 @@ def _csv_lines(x, ends):
     return lines[kept].tobytes()
 
 
+def _csv_block(dataset, start):
+    """The CSV lines of the _SAVE_ROWS samples of dataset from start on."""
+    x = np.ascontiguousarray(dataset.Y[:, start:start + _SAVE_ROWS].T, dtype=np.float64)
+    if dataset.labels is None:
+        ends = [b"\r\n"] * len(x)
+    else:
+        ends = [b",%d\r\n" % c for c in np.asarray(dataset.labels[start:start + len(x)]).tolist()]
+    return _csv_lines(x, np.array(ends))
+
+
 def save_csv(dataset: Dataset, path):
     """Export a dataset in the same dialect, adding a Class column when
     labels exist. Every float is written as '%.17g' (17 significant digits,
     so text I/O round-trips exactly), every label as '%d', with csv.writer's
     CRLF line ends. Zero and the values in 1e-4 <= |x| < 1e17 are formatted
     by numpy in blocks of rows. Python formats the others: the tiny and huge
-    values that '%.17g' writes in exponent notation, and non-finite ones."""
-    labels = dataset.labels
-    header = list(dataset.feature_names) + (["Class"] if labels is not None else [])
+    values that '%.17g' writes in exponent notation, and non-finite ones.
+
+    From _SPLIT_ROWS samples on 2 or more CPUs, a forked child formats the
+    second half of the blocks while this process formats and writes the
+    first; given the offset where they end, the child writes its bytes
+    there. If the child fails, this process cuts the file back to its own
+    end and formats the rest itself, so the bytes and errors are those of
+    one process."""
+    header = list(dataset.feature_names) + (["Class"] if dataset.labels is not None else [])
     text = io.StringIO()
     csv.writer(text).writerow(header)
+    starts = range(0, dataset.n_samples, _SAVE_ROWS)
+    split = dataset.n_samples >= _SPLIT_ROWS and _cpus() > 1
+    cut = len(starts) // 2 if split else len(starts)
     with open(path, "wb") as f:
+
+        def child(pipe):
+            lines = b"".join(_csv_block(dataset, start) for start in starts[cut:])
+            end = pipe.read(8)
+            if len(end) < 8:  # this process died before it sent the offset
+                raise EOFError
+            if os.pwrite(f.fileno(), lines, int.from_bytes(end, "little")) < len(lines):
+                raise OSError("short write")
+
         f.write(text.getvalue().encode())
-        for start in range(0, dataset.n_samples, _SAVE_ROWS):
-            x = np.ascontiguousarray(dataset.Y[:, start:start + _SAVE_ROWS].T, dtype=np.float64)
-            if labels is None:
-                ends = [b"\r\n"] * len(x)
-            else:
-                ends = [b",%d\r\n" % c for c in np.asarray(labels[start:start + len(x)]).tolist()]
-            f.write(_csv_lines(x, np.array(ends)))
+        with _forked(child, "wb") if split else contextlib.nullcontext() as fork:
+            for start in starts[:cut]:
+                f.write(_csv_block(dataset, start))
+            if fork is not None:
+                pipe, finished = fork
+                try:
+                    pipe.write(f.tell().to_bytes(8, "little"))
+                    if finished():
+                        return
+                except BrokenPipeError:  # the child ended before it read the offset
+                    pass
+                f.truncate(f.tell())  # drops whatever the child wrote
+            for start in starts[cut:]:
+                f.write(_csv_block(dataset, start))
 
 
 def normalize(dataset: Dataset) -> Dataset:

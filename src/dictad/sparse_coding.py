@@ -207,7 +207,13 @@ def _cholesky_solve(L, z, w, l, b):
     return x
 
 
-def _singular(Sk, column=""):
+def _singular(G, Sk, column=""):
+    """The refusal of a pivot on the atoms Sk. A G = A^T A with non-finite
+    entries makes the pivot fail whatever the atoms' angles: their scale
+    overflowed."""
+    if not np.isfinite(G).all():
+        return CodingError(f"{column}singular support sub-matrix on atoms {Sk}: the atom scale "
+                           "overflowed (the atoms' Gram matrix holds non-finite entries)")
     return CodingError(f"{column}singular support sub-matrix on atoms {Sk} "
                        "(duplicate or collinear atoms)")
 
@@ -301,7 +307,7 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
             bad = ~(d > (k + 1) * _PIVOT_TOL * gjj)
             if bad.any():
                 i = int(bad.argmax())
-                raise _singular(S[i, :k + 1].tolist(), f"column {first + live[i]}: ")
+                raise _singular(G, S[i, :k + 1].tolist(), f"column {first + live[i]}: ")
             coef[:, :k + 1] = np.stack(_cholesky_solve(L, z, w, np.sqrt(d), a0[rows, j]),
                                        axis=1)
     supports[live], values[live], nnz[live] = S, coef, cfg.s
@@ -341,7 +347,7 @@ def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
         gjj = G.item(j, j)
         w, d = _cholesky_row(L, rows[:, j].tolist(), gjj)
         if not d > (k + 1) * _PIVOT_TOL * gjj:
-            raise _singular(S[:k + 1].tolist())
+            raise _singular(G, S[:k + 1].tolist())
         x = _cholesky_solve(L, z, w, math.sqrt(d), a0.item(j))
         coef = np.array(x)
         if k + 1 < cfg.s:  # the next step's correlations need them

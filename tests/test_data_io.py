@@ -1,5 +1,8 @@
+import errno
 import hashlib
+import inspect
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from dictad import (
 )
 from dictad import data_io
 from dictad.data_io import ULB_FEATURES
-from helpers import assert_no_child_left, assert_same_load, split_csv_reads
+from helpers import assert_no_child_left, assert_same_load, saved_csv_bytes, split_csv_reads
 
 
 def _write_ulb_csv(path, n_rows=4, anomalies=(1,)):
@@ -322,8 +325,21 @@ def _quoted_ulb(n_rows):
         for k, row in enumerate(values))
 
 
+def _shuffled_ulb(n_rows):
+    """Credit-card rows with the columns in a shuffled order, so that the
+    selected feature columns are neither contiguous nor in header order."""
+    names = ["Time"] + ULB_FEATURES + ["Class"]
+    order = np.random.default_rng(30).permutation(len(names))
+    values = np.random.default_rng(31).standard_normal((n_rows, len(names)))
+    values[:, -1] = np.arange(n_rows) % 5 == 2
+    return ",".join(names[j] for j in order) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in values[:, order].tolist())
+
+
 @pytest.mark.parametrize("text, schema, label, forks", [
     (_quoted_ulb(40), "ulb", None, 1),
+    (_shuffled_ulb(40), "ulb", None, 1),
+    ("a,b,c\n" + _rows(30, 29), "generic", None, 1),
     ("a,b,y\r\n" + _rows(30, 20, "\r\n"), "generic", "y", 1),
     ("a,b,y\n" + _rows(10, 21) + "\n" * 40 + "\r\n" + _rows(10, 22), "generic", "y", 1),
     ("a,b,y\n" + _rows(30, 23)[:-1], "generic", "y", 1),
@@ -331,8 +347,9 @@ def _quoted_ulb(n_rows):
     ("a,b,y\n" + _rows(5, 24) + '3,"4' + "\n" * 400 + '",1\n' + _rows(5, 25), "generic", "y", 0),
     # the header ends at a lone CR, before the first '\n'
     ("a,b,y\r" + _rows(30, 28), "generic", "y", 0),
-], ids=["quoted-ulb", "crlf", "blank-lines-at-split", "no-trailing-newline",
-        "quoted-newline-at-split", "header-ends-in-lone-cr"])
+], ids=["quoted-ulb", "ulb-columns-out-of-order", "generic-unlabelled", "crlf",
+        "blank-lines-at-split", "no-trailing-newline", "quoted-newline-at-split",
+        "header-ends-in-lone-cr"])
 def test_split_read_equals_one_process_read(tmp_path, text, schema, label, forks):
     p = tmp_path / "t.csv"
     p.write_bytes(text.encode())
@@ -374,6 +391,17 @@ def test_split_read_falls_back_when_the_child_half_is_wider(tmp_path):
     assert_no_child_left()
 
 
+def test_split_read_falls_back_when_the_parent_half_is_wider(tmp_path):
+    # the split falls where the rows narrow, so each half parses on its own
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,c\n" + "1,2,0,5\n" * 14 + "1,2,0\n" * 16)
+    with split_csv_reads() as forked, pytest.raises(DataError) as two:
+        load_csv(p, schema="generic")
+    assert str(two.value).endswith("row 2 has 4 fields, the header has 3")
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
 def test_split_read_falls_back_when_the_child_exits_nonzero(tmp_path, monkeypatch):
     p = tmp_path / "t.csv"
     p.write_text("a,b,y\n" + _rows(30, 27))
@@ -406,6 +434,118 @@ def test_split_read_only_from_the_threshold(tmp_path):
         load_csv(p, schema="generic", label_column="y")
     assert len(forked) == 1
     assert data_io._SPLIT_BYTES == 2**23
+
+
+def _table(n=3_000, seed=32):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.standard_normal((4, n)), rng.integers(0, 2, n), ["a", "b", "c", "d"])
+
+
+def _junk_and_exit_1(monkeypatch, parent):
+    # the child writes its blocks and junk after them, then exits 1
+    lines, exit = data_io._csv_lines, os._exit
+    monkeypatch.setattr(data_io, "_csv_lines", lambda x, ends: lines(x, ends) + (
+        b"" if os.getpid() == parent else b"junk" * 100_000))
+    monkeypatch.setattr(os, "_exit", lambda code: exit(1))
+
+
+def _short_write(monkeypatch, parent):
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, at: pwrite(fd, data[:len(data) // 2], at))
+
+
+def _write_error(monkeypatch, parent):
+    def full(fd, data, at):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(os, "pwrite", full)
+
+
+def _format_error(monkeypatch, parent):
+    # the child ends before it reads the offset, most likely before this
+    # process sends it (a broken pipe)
+    lines = data_io._csv_lines
+
+    def child_fails(x, ends):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        return lines(x, ends)
+
+    monkeypatch.setattr(data_io, "_csv_lines", child_fails)
+
+
+@pytest.mark.parametrize("fault", [_junk_and_exit_1, _short_write, _write_error, _format_error],
+                         ids=["nonzero-exit-after-junk", "short-write", "write-error",
+                              "format-error"])
+def test_split_write_falls_back_when_the_child_fails(tmp_path, monkeypatch, fault):
+    # this process cuts the file back to its own end, junk and all, and
+    # formats the child's blocks itself: the bytes are those of one process
+    ds = _table()
+    want = saved_csv_bytes(ds, tmp_path / "one.csv", False)
+    parent = os.getpid()
+    fault(monkeypatch, parent)
+    lines, formatted = data_io._csv_lines, []
+
+    def counted(x, ends):
+        if os.getpid() == parent:
+            formatted.append(len(x))
+        return lines(x, ends)
+
+    monkeypatch.setattr(data_io, "_csv_lines", counted)
+    assert saved_csv_bytes(ds, tmp_path / "two.csv", True) == want
+    assert sum(formatted) == ds.n_samples  # the first half, then the child's
+
+
+def test_split_write_reaps_its_child_when_the_parent_half_raises(tmp_path, monkeypatch):
+    # the child waits for the offset of this process's end, which never comes
+    parent, lines = os.getpid(), data_io._csv_lines
+
+    def parent_fails(x, ends):
+        if os.getpid() == parent:
+            raise RuntimeError("stop")
+        return lines(x, ends)
+
+    monkeypatch.setattr(data_io, "_csv_lines", parent_fails)
+    with split_csv_reads() as forked, pytest.raises(RuntimeError, match="stop"):
+        save_csv(_table(), tmp_path / "t.csv")
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_split_write_in_one_process_when_fork_fails(tmp_path):
+    ds = _table()
+    want = saved_csv_bytes(ds, tmp_path / "one.csv", False)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    with split_csv_reads(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", no_fork)
+        save_csv(ds, tmp_path / "two.csv")
+    assert (tmp_path / "two.csv").read_bytes() == want
+    assert_no_child_left()
+
+
+def test_split_write_only_from_the_threshold(tmp_path):
+    ds = _table(n=100)
+    with split_csv_reads() as forked:  # which restores _SPLIT_ROWS on exit
+        data_io._SPLIT_ROWS = 101
+        save_csv(ds, tmp_path / "t.csv")
+        assert not forked
+        data_io._SPLIT_ROWS = 100
+        save_csv(ds, tmp_path / "t.csv")
+    assert len(forked) == 1
+    assert data_io._SPLIT_ROWS == 8192
+
+
+def test_only_forked_forks():
+    # one helper, data_io._forked, owns the fork, its pipe, the fork
+    # warning's filter, the fallback and the killing and reaping of the child
+    modules = sorted(Path(data_io.__file__).parent.glob("*.py"))
+    helper = inspect.getsource(data_io._forked)
+    for token in ("os.fork", "os.pipe", "os.kill", "os.waitpid", "os._exit"):
+        users = {p.name: p.read_text(encoding="utf-8").count(token) for p in modules}
+        assert {k: v for k, v in users.items() if v} == {"data_io.py": helper.count(token)}, token
+        assert helper.count(token)
 
 
 def test_synth_csv_bytes_pinned(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import dictad
-from dictad import ConfusionReport, DataError, Dataset, confusion, run_experiment
+from dictad import ConfusionReport, DataError, Dataset, confusion, data_io, run_experiment
 from dictad.anomaly import ADDLConfig, addl_run
 from dictad.cli import main
 from dictad.data_io import ULB_FEATURES, load_csv, normalize, subsample
@@ -685,6 +686,33 @@ def test_cli_eval_subsample_ratio_exit_2(tmp_path, capsys):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o2").exists()
+
+
+@pytest.mark.parametrize("blocked", ["directory", "full-device"])
+def test_cli_synth_unwritable_dataset_same_line_in_two_processes(tmp_path, capsys, blocked):
+    # a dataset.csv that cannot be opened, or whose writes fail with ENOSPC
+    # (/dev/full): the split write reports the one-process line
+    if blocked == "full-device" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    errs = []
+    for split in (False, True):
+        out = tmp_path / f"out-{split}"
+        out.mkdir()
+        if blocked == "directory":
+            (out / "dataset.csv").mkdir()
+        else:
+            (out / "dataset.csv").symlink_to("/dev/full")
+        with split_csv_reads() as forked:  # which restores _SPLIT_ROWS on exit
+            if not split:
+                data_io._SPLIT_ROWS = math.inf
+            assert main(_synth_flags(out)) == 2
+        assert len(forked) == (split and blocked == "full-device")
+        assert_no_child_left()
+        errs.append(capsys.readouterr().err.replace(str(out), "<out>"))
+    assert errs[0] == errs[1]
+    assert errs[0] == "config error: cannot write <out>" + (
+        "/dataset.csv: Is a directory\n" if blocked == "directory" else
+        ": No space left on device\n")
 
 
 @pytest.mark.parametrize("verb, blocked", [

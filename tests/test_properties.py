@@ -47,7 +47,6 @@ from dictad import (
     omp,
     representation_errors,
     rls_update,
-    save_csv,
     subsample,
     SynthConfig,
     synth_generate,
@@ -61,7 +60,7 @@ from dictad import sparse_coding
 from dictad.sparse_coding import _weighted_rows, residuals
 from dictad.data_io import _SIGNS, DataError
 
-from helpers import assert_no_child_left, assert_same_load, split_csv_reads
+from helpers import assert_no_child_left, assert_same_load, saved_csv_bytes, split_csv_reads
 from test_online import _sparse_cols
 from test_sparse_coding import naive_omp_oracle
 
@@ -746,23 +745,27 @@ def test_save_csv_bytes_equal_per_value_writer_and_round_trip(m, N, labeled, dat
     Y = np.array([[data.draw(_finite) for _ in range(N)] for _ in range(m)]).reshape(m, N)
     labels = np.array([data.draw(st.integers(0, 1)) for _ in range(N)]) if labeled else None
     ds = Dataset(Y, labels, [f"f{j}" for j in range(m)])
+    want = _old_save_csv_bytes(Y, labels, ds.feature_names)
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "t.csv"
-        save_csv(ds, p)
-        assert p.read_bytes() == _old_save_csv_bytes(Y, labels, ds.feature_names)
+        assert saved_csv_bytes(ds, p, False) == want
         if N:
             back = load_csv(p, schema="generic", label_column="Class" if labeled else None)
             assert np.array_equal(_bits(back.Y), _bits(Y))
             assert labels is None or np.array_equal(back.labels, labels)
+        # blocks of 5 rows: the split hands the child 1 of 1 to 2 of 3 blocks
+        with mock.patch.object(data_io, "_SAVE_ROWS", 5):
+            assert saved_csv_bytes(ds, p, True) == want
 
 
 def test_save_csv_bytes_across_write_chunks(tmp_path):
     rng = np.random.default_rng(18)
     Y = rng.standard_normal((3, 9001)) * np.exp(rng.uniform(-700, 700, (3, 9001)))
     labels = rng.integers(0, 2, 9001)
-    p = tmp_path / "big.csv"
-    save_csv(Dataset(Y, labels, ["a", "b", "c"]), p)
-    assert p.read_bytes() == _old_save_csv_bytes(Y, labels, ["a", "b", "c"])
+    ds = Dataset(Y, labels, ["a", "b", "c"])
+    want = _old_save_csv_bytes(Y, labels, ds.feature_names)
+    for split in (False, True):  # 9 blocks: 4 for this process, 5 for the child
+        assert saved_csv_bytes(ds, tmp_path / "big.csv", split) == want
 
 
 def test_save_csv_bytes_at_format_branch_points(tmp_path):
@@ -781,9 +784,10 @@ def test_save_csv_bytes_at_format_branch_points(tmp_path):
     Y = np.resize(values, 3 * rows).reshape(rows, 3).T
     labels = np.arange(rows) % 2
     for lab in (labels, None):
-        p = tmp_path / "edges.csv"
-        save_csv(Dataset(Y, lab, ["a", "b", "c"]), p)
-        assert p.read_bytes() == _old_save_csv_bytes(Y, lab, ["a", "b", "c"])
+        ds = Dataset(Y, lab, ["a", "b", "c"])
+        want = _old_save_csv_bytes(Y, lab, ds.feature_names)
+        for split in (False, True):
+            assert saved_csv_bytes(ds, tmp_path / "edges.csv", split) == want
 
 
 def _per_sample_synth(cfg):

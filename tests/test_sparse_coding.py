@@ -157,6 +157,26 @@ def test_zero_first_atom_reported_as_singular():
         batch_code(D, np.column_stack([[0.0, 1.0], y]), CodingConfig(1))
 
 
+@pytest.mark.parametrize("scales", [[1e160] * 6, [1.0, 1.0, 1e160, 1.0, 1.0, 1.0]],
+                         ids=["every-atom", "one-atom"])
+def test_overflowed_atom_scale_reported_as_such(scales):
+    # atoms of norm 1e160 make G = A^T A overflow to inf: the refused pivot
+    # is the atom scale's fault, not that of duplicate or collinear atoms
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((8, 6))
+    D = Dictionary(A / np.linalg.norm(A, axis=0) * scales)
+    Y = rng.standard_normal((8, 2))
+    message = (r"singular support sub-matrix on atoms \[\d+(, \d+)*\]: the atom scale "
+               r"overflowed \(the atoms' Gram matrix holds non-finite entries\)$")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CodingError, match="^" + message):
+            omp(D, Y[:, 0], CodingConfig(3))
+        with pytest.raises(CodingError, match="^column 0: " + message):
+            batch_code(D, Y, CodingConfig(3))
+        with pytest.raises(CodingError, match="^column 1: " + message):
+            batch_code(D, np.column_stack([np.zeros(8), Y[:, 1]]), CodingConfig(3))
+
+
 def _code_one_column(D, y, cfg):
     return batch_code(D, y[:, None], cfg)
 
