@@ -129,21 +129,21 @@ def _cpus():
 
 
 @contextlib.contextmanager
-def _forked(child, mode):
-    """Run child(pipe) in a forked process while the block runs in this one,
-    joined by a new pipe: mode "rb" makes the child write to it and this
-    process read, "wb" the other way round. Yields (pipe, finished), pipe
-    being this process's end as a binary file: finished() closes it, waits
-    for the child and tells whether child returned (an exception exits the
-    child with status 1). Yields None when fork fails (e.g. at the process
-    limit). A child not waited for when the block ends is killed and reaped."""
+def _forked(child):
+    """Run child(pipe) in a forked process while the block runs in this one.
+    The child only writes: to pipe, the write end of a new pipe, or to files
+    it shares with this process; this process sends it nothing. Yields (pipe,
+    finished), pipe being this process's read end as a binary file:
+    finished() closes it, waits for the child and tells whether child
+    returned (an exception exits the child with status 1). Yields None when
+    fork fails (e.g. at the process limit). A child not waited for when the
+    block ends is killed and reaped."""
     r, w = os.pipe()
-    mine, theirs = (r, w) if mode == "rb" else (w, r)
     with warnings.catch_warnings():
         # Python >= 3.12 warns that a child forked from a process with other
         # threads (OpenBLAS's idle workers) may deadlock on a lock one of
         # them held. The children here take no such lock: they parse or
-        # format numbers, use their pipe and file, and leave through os._exit.
+        # format numbers, write to their pipe or file, and leave through os._exit.
         warnings.filterwarnings("ignore", "This process .*multi-threaded", DeprecationWarning)
         try:
             pid = os.fork()
@@ -157,14 +157,14 @@ def _forked(child, mode):
     if pid == 0:
         code = 1
         try:
-            os.close(mine)
-            with open(theirs, "wb" if mode == "rb" else "rb") as pipe:
+            os.close(r)
+            with open(w, "wb") as pipe:
                 child(pipe)
             code = 0
         finally:
             os._exit(code)
-    os.close(theirs)
-    pipe = open(mine, mode)
+    os.close(w)
+    pipe = open(r, "rb")
     status = None
 
     def finished():
@@ -176,7 +176,7 @@ def _forked(child, mode):
     try:
         yield pipe, finished
     finally:
-        if status is None:  # killed before its end of the pipe sees this one close
+        if status is None:  # the child may still be running, or blocked on a full pipe
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         pipe.close()
@@ -221,7 +221,7 @@ def _read_halves(path, width, fidx, lidx):
             if lidx is not None:
                 pipe.write(np.ascontiguousarray(rows[:, lidx]))
 
-    with _forked(child, "rb") as fork:
+    with _forked(child) as fork:
         if fork is None:
             return None
         pipe, finished = fork
@@ -465,11 +465,12 @@ def save_csv(dataset: Dataset, path):
     values that '%.17g' writes in exponent notation, and non-finite ones.
 
     From _SPLIT_ROWS samples on 2 or more CPUs, a forked child formats the
-    second half of the blocks while this process formats and writes the
-    first; given the offset where they end, the child writes its bytes
-    there. If the child fails, this process cuts the file back to its own
-    end and formats the rest itself, so the bytes and errors are those of
-    one process."""
+    first half of the blocks and writes each at its offset after the header,
+    while this process formats the second half; once the child has exited
+    0, this process appends its blocks. If the child fails, this process
+    writes the first half itself over whatever the child wrote, then its
+    own blocks, and cuts the file back to their end, so the bytes and
+    errors are those of one process."""
     header = list(dataset.feature_names) + (["Class"] if dataset.labels is not None else [])
     text = io.StringIO()
     csv.writer(text).writerow(header)
@@ -477,30 +478,33 @@ def save_csv(dataset: Dataset, path):
     split = dataset.n_samples >= _SPLIT_ROWS and _cpus() > 1
     cut = len(starts) // 2 if split else len(starts)
     with open(path, "wb") as f:
+        # buffered past the fork: on a file that refuses writes the child
+        # fails, then this process's first flush raises the one-process error
+        f.write(text.getvalue().encode())
+        at = f.tell()
 
         def child(pipe):
-            lines = b"".join(_csv_block(dataset, start) for start in starts[cut:])
-            end = pipe.read(8)
-            if len(end) < 8:  # this process died before it sent the offset
-                raise EOFError
-            if os.pwrite(f.fileno(), lines, int.from_bytes(end, "little")) < len(lines):
-                raise OSError("short write")
-
-        f.write(text.getvalue().encode())
-        with _forked(child, "wb") if split else contextlib.nullcontext() as fork:
+            end = at
             for start in starts[:cut]:
-                f.write(_csv_block(dataset, start))
+                lines = _csv_block(dataset, start)
+                if os.pwrite(f.fileno(), lines, end) < len(lines):
+                    raise OSError("short write")
+                end += len(lines)
+
+        rest = (_csv_block(dataset, start) for start in starts[cut:])
+        with _forked(child) if split else contextlib.nullcontext() as fork:
             if fork is not None:
-                pipe, finished = fork
-                try:
-                    pipe.write(f.tell().to_bytes(8, "little"))
-                    if finished():
-                        return
-                except BrokenPipeError:  # the child ended before it read the offset
-                    pass
-                f.truncate(f.tell())  # drops whatever the child wrote
-            for start in starts[cut:]:
-                f.write(_csv_block(dataset, start))
+                _, finished = fork
+                rest = list(rest)
+                if finished():
+                    f.seek(0, os.SEEK_END)
+                    f.writelines(rest)
+                    return
+                f.seek(at)  # to write over the child's bytes
+        f.writelines(_csv_block(dataset, start) for start in starts[:cut])
+        f.writelines(rest)
+        if fork is not None:
+            f.truncate()  # drops the child's bytes past the end
 
 
 def normalize(dataset: Dataset) -> Dataset:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CodingError
+from .errors import CodingError, DataError
 
 
 @dataclass
@@ -166,6 +166,17 @@ def _check_shapes(A: np.ndarray, signal_dim: int, cfg: CodingConfig):
         raise CodingError(f"sparsity {cfg.s} exceeds atom count {A.shape[1]}")
 
 
+# the refusal of a finite signal whose norm is inf: its threshold would be inf
+# too, so it would be coded empty
+_OVERFLOW = "the signal's norm overflows; rescale the features (--normalize)"
+
+
+@np.errstate(over="ignore")
+def _norm(y: np.ndarray):
+    """||y||_2 of a vector, inf without a warning where it overflows."""
+    return np.sqrt((y * y).sum())
+
+
 # row k's pivot d must exceed (k + 1) _PIVOT_TOL G_jj (see _cholesky_row)
 _PIVOT_TOL = 4 * 2.0**-52
 
@@ -262,11 +273,16 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
     test open (_exit_bound).
     """
     Yt = np.ascontiguousarray(Y.T)
-    alpha0 = np.matmul(Yt[:, None, :], A)[:, 0, :]  # one product per signal
-    ynorm = np.linalg.norm(Yt, axis=1)
+    with np.errstate(over="ignore"):
+        ynorm = np.linalg.norm(Yt, axis=1)
+    inf = np.flatnonzero(np.isinf(ynorm))
+    overflowed = inf[np.isfinite(Yt[inf]).all(axis=1)]
+    if overflowed.size:
+        raise DataError(f"column {first + overflowed[0]}: {_OVERFLOW}")
     tol = np.maximum(cfg.residual_tol, 1e-9 * ynorm)
     live = np.flatnonzero(ynorm > tol)
-    a0, y, tol = alpha0[live], Yt[live], tol[live]
+    y, tol = Yt[live], tol[live]
+    a0 = np.matmul(y[:, None, :], A)[:, 0, :]  # one product per signal
     with np.errstate(over="ignore"):
         base, slope = _exit_bound(G, A.shape[0], cfg.s, ynorm[live], tol)
     S = np.zeros((live.size, cfg.s), dtype=int)
@@ -316,20 +332,23 @@ def _lockstep(A, G, Y, cfg, first, supports, values, nnz):
 def omp(D: Dictionary, y: np.ndarray, cfg: CodingConfig) -> SparseCode:
     """Orthogonal Matching Pursuit for one signal: the same arithmetic as the
     Batch-OMP kernel on one column, bit-identical to a batch_code column,
-    with the Cholesky factor's entries held as Python floats."""
+    with the Cholesky factor's entries held as Python floats. A y with a NaN
+    or inf codes empty; a finite y whose norm overflows raises DataError."""
     A = D.atoms
     n = A.shape[1]
     # contiguous like the kernel's signal rows: a strided y (a Y[:, i] view)
     # takes another summation path in matmul and can change the last bit
     y = np.ascontiguousarray(y, dtype=float).reshape(-1)
     _check_shapes(A, y.shape[0], cfg)
-    G = A.T @ A
-    a0 = y @ A
-    ynorm = np.sqrt((y * y).sum())
+    ynorm = _norm(y)
     tol = max(cfg.residual_tol, 1e-9 * ynorm)
     S = np.zeros(cfg.s, dtype=int)
     if not ynorm > tol:
+        if ynorm == math.inf and np.isfinite(y).all():
+            raise DataError(_OVERFLOW)
         return _trusted_code(S[:0], np.zeros(0), n)
+    G = A.T @ A
+    a0 = y @ A
     base, slope = _exit_bound(G, y.shape[0], cfg.s, float(ynorm), float(tol))
     rows = G[:0]  # rows = G[S[:k]]
     L, z, x = [], [], []

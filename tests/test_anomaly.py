@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,23 @@ def test_trace_csv_empty_truth_columns(tmp_path):
     trace.to_csv(path)
     row = path.read_text().splitlines()[1].split(",")
     assert row[2] == "" and row[3] == ""
+
+
+_TOO_SHORT = "ground-truth labels must have one entry per sample"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ADDLConfig(0, _stage(), CodingConfig(2)), "global_iterations must be >= 1"),
+    (lambda: PopularityConfig(0, _stage(), CodingConfig(2)), "n_anomalies must be >= 1"),
+    (lambda: PopularityConfig(1, _stage(), CodingConfig(2), max_iterations=0),
+     "max_iterations must be >= 1"),
+    (lambda: addl_run(np.eye(4), ADDLConfig(1, _stage(), CodingConfig(2)), truth=[0, 1, 0]),
+     _TOO_SHORT),
+    (lambda: popularity_filter_run(np.eye(4), PopularityConfig(1, _stage(), CodingConfig(2)),
+                                   truth=[[0, 1], [0, 1]]), _TOO_SHORT),
+], ids=["addl-no-iterations", "popularity-no-anomalies", "popularity-no-iterations",
+        "addl-short-truth", "popularity-2d-truth"])
+def test_anomaly_refusals(call, message):
+    # the CLI refuses these values as config errors before they get here
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()

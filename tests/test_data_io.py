@@ -1,7 +1,9 @@
+import ast
 import errno
 import hashlib
 import inspect
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from dictad import (
     synth_generate,
 )
 from dictad import data_io
+from dictad.cli import main
 from dictad.data_io import ULB_FEATURES
 from helpers import assert_no_child_left, assert_same_load, saved_csv_bytes, split_csv_reads
 
@@ -225,13 +228,45 @@ def test_synth_rejects_tight_dimension():
     ({"noise_sigma": float("inf")}, "noise_sigma must be finite and >= 0"),
     ({"normal_atoms": 10_001, "disjoint_support": False}, "at most 10000 atoms"),
     ({"anomaly_atoms": 10_001, "disjoint_support": False}, "at most 10000 atoms"),
+    *[({k: 0}, "all synthetic counts must be >= 1")
+      for k in ("n_normal", "m", "normal_atoms", "anomaly_atoms", "s_gen")],
 ], ids=["negative-n-anomaly", "negative-noise", "nan-noise", "inf-noise",
-        "normal-atoms-above-limit", "anomaly-atoms-above-limit"])
+        "normal-atoms-above-limit", "anomaly-atoms-above-limit", "no-normals", "no-features",
+        "no-normal-atoms", "no-anomaly-atoms", "no-atoms-per-signal"])
 def test_synth_config_rejects(fields, message):
     base = dict(n_normal=10, n_anomaly=2, m=6, normal_atoms=3, anomaly_atoms=2, s_gen=2,
                 noise_sigma=0.1)
     with pytest.raises(DataError, match=message):
         SynthConfig(**{**base, **fields})
+
+
+@pytest.mark.parametrize("call, message, csv_text, flags", [
+    (lambda p: Dataset(np.ones((2, 3)), np.zeros(2, dtype=int), ["a", "b"]),
+     "labels length does not match sample count", None, None),
+    (lambda p: load_csv(p, schema="ulb"), "{path}: missing expected columns ['Class']",
+     ",".join(["Time"] + ULB_FEATURES) + "\n" + ",".join(["0"] * 30) + "\n", []),
+    (lambda p: load_csv(p, schema="generic", label_column="y"),
+     "{path}: missing expected columns ['y']", "a,b\n1,2\n3,4\n",
+     ["--schema", "generic", "--label-column", "y"]),
+    (lambda p: normalize(Dataset(np.ones((2, 1)), None, ["a", "b"])),
+     "normalization needs at least 2 samples", "a,b,y\n1,2,0\n",
+     ["--schema", "generic", "--label-column", "y", "--normalize"]),
+], ids=["labels-length", "ulb-without-class", "generic-without-label-column",
+        "normalize-one-sample"])
+def test_data_io_refusals(tmp_path, capsys, call, message, csv_text, flags):
+    # where a CSV reaches the refusal, the eval verb exits 3 with its one line
+    p = tmp_path / "data.csv"
+    if csv_text is not None:
+        p.write_text(csv_text)
+    message = message.format(path=p)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call(p)
+    if flags is not None:
+        preds = tmp_path / "preds.txt"
+        preds.write_text("0\n")
+        assert main(["eval", "--out", str(tmp_path / "o"), "--dataset", str(p),
+                     "--predictions", str(preds), *flags]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 def test_csv_round_trip(tmp_path):
@@ -423,6 +458,22 @@ def test_split_read_falls_back_when_the_child_exits_nonzero(tmp_path, monkeypatc
     assert_no_child_left()
 
 
+def test_split_read_in_one_process_when_fork_fails(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,y\n" + _rows(30, 33))
+    one = load_csv(p, schema="generic", label_column="y")
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    with split_csv_reads() as forked, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", no_fork)
+        two = load_csv(p, schema="generic", label_column="y")
+    assert_same_load(one, two)
+    assert not forked
+    assert_no_child_left()
+
+
 def test_split_read_only_from_the_threshold(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a,b,y\n" + _rows(30, 26))
@@ -461,8 +512,7 @@ def _write_error(monkeypatch, parent):
 
 
 def _format_error(monkeypatch, parent):
-    # the child ends before it reads the offset, most likely before this
-    # process sends it (a broken pipe)
+    # the child raises before it writes a byte
     lines = data_io._csv_lines
 
     def child_fails(x, ends):
@@ -477,8 +527,8 @@ def _format_error(monkeypatch, parent):
                          ids=["nonzero-exit-after-junk", "short-write", "write-error",
                               "format-error"])
 def test_split_write_falls_back_when_the_child_fails(tmp_path, monkeypatch, fault):
-    # this process cuts the file back to its own end, junk and all, and
-    # formats the child's blocks itself: the bytes are those of one process
+    # this process writes the child's blocks itself over whatever the child
+    # wrote, then its own, and cuts the junk off: the bytes are those of one process
     ds = _table()
     want = saved_csv_bytes(ds, tmp_path / "one.csv", False)
     parent = os.getpid()
@@ -492,11 +542,11 @@ def test_split_write_falls_back_when_the_child_fails(tmp_path, monkeypatch, faul
 
     monkeypatch.setattr(data_io, "_csv_lines", counted)
     assert saved_csv_bytes(ds, tmp_path / "two.csv", True) == want
-    assert sum(formatted) == ds.n_samples  # the first half, then the child's
+    assert sum(formatted) == ds.n_samples  # the second half, then the child's first
 
 
 def test_split_write_reaps_its_child_when_the_parent_half_raises(tmp_path, monkeypatch):
-    # the child waits for the offset of this process's end, which never comes
+    # the child may still be formatting or writing its half when this process gives up
     parent, lines = os.getpid(), data_io._csv_lines
 
     def parent_fails(x, ends):
@@ -546,6 +596,30 @@ def test_only_forked_forks():
         users = {p.name: p.read_text(encoding="utf-8").count(token) for p in modules}
         assert {k: v for k, v in users.items() if v} == {"data_io.py": helper.count(token)}, token
         assert helper.count(token)
+
+
+def test_forked_children_only_write():
+    # no message goes from a parent to its child: pipe.write and os.pwrite
+    # occur only inside the two children (load_csv's and save_csv's), and
+    # a child uses its pipe only to write to it
+    assert list(inspect.signature(data_io._forked).parameters) == ["child"]
+    children, writes = [], []
+    for p in sorted(Path(data_io.__file__).parent.glob("*.py")):
+        tree = ast.parse(p.read_text(encoding="utf-8"))
+        found = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "child"]
+        children += [p.name] * len(found)
+        inside = {id(node) for f in found for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            call = ast.unparse(node) if isinstance(node, ast.Attribute) else None
+            if call in ("pipe.write", "os.pwrite"):
+                writes.append((call, id(node) in inside))
+        for f in found:
+            uses = [node for node in ast.walk(f) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == "pipe"]
+            assert {node.attr for node in uses} <= {"write", "flush"}
+    assert children == ["data_io.py", "data_io.py"]
+    assert {call for call, _ in writes} == {"pipe.write", "os.pwrite"}
+    assert all(inside for _, inside in writes), writes
 
 
 def test_synth_csv_bytes_pinned(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,20 @@ def test_unused_atom_diagnostics():
     pop_used = set(range(4)) - set(res.unused_atoms)
     assert len(pop_used) >= 1
     assert all(0 <= j < 4 for j in res.unused_atoms)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DLConfig(2, 5, CodingConfig(3)), "n_atoms 2 < sparsity 3"),
+    (lambda: DLConfig(4, 0, CodingConfig(3)), "iterations must be >= 1"),
+    (lambda: objective(Dictionary(np.eye(3)), np.ones((3, 4)),
+                       SparseCodeMatrix.from_dense(np.zeros((3, 5)))),
+     "dimension mismatch: Y (3, 4) vs D (3, 3), N=5"),
+    (lambda: objective(Dictionary(np.eye(3)), np.ones((2, 5)),
+                       SparseCodeMatrix.from_dense(np.zeros((3, 5)))),
+     "dimension mismatch: Y (2, 5) vs D (3, 3), N=5"),
+], ids=["atoms-below-sparsity", "no-iterations", "objective-sample-count",
+        "objective-signal-dimension"])
+def test_dictionary_learning_refusals(call, message):
+    # the CLI refuses these values as config errors before they get here
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import dictad
-from dictad import ConfusionReport, DataError, Dataset, confusion, data_io, run_experiment
+from dictad import (ConfigError, ConfusionReport, DataError, Dataset, confusion, data_io,
+                    run_experiment)
 from dictad.anomaly import ADDLConfig, addl_run
 from dictad.cli import main
 from dictad.data_io import ULB_FEATURES, load_csv, normalize, subsample
@@ -452,6 +453,22 @@ def test_cli_sample_norm_overflow_exit_3(tmp_path, capsys):
     assert "--normalize" in err
 
 
+def test_cli_stream_sample_norm_overflow_exit_3(tmp_path, capsys):
+    # a streamed sample of norm inf is refused, not coded empty after an
+    # overflow warning; the pretraining half holds none
+    Y = np.random.default_rng(33).standard_normal((60, 12))
+    Y[np.random.default_rng(0).permutation(60)[-1], 4] = 1e160  # run_toddler's last streamed row
+    data = tmp_path / "data.csv"
+    data.write_text(",".join(f"f{j}" for j in range(12)) + ",Class\n" + "".join(
+        ",".join(map(repr, row)) + f",{int(k % 7 == 0)}\n" for k, row in enumerate(Y.tolist())))
+    rc = main(["toddler", "--out", str(tmp_path / "o"), "--dataset", str(data),
+               "--schema", "generic", "--label-column", "Class",
+               "--pretrain-fraction", "0.5", "--atoms-per-class", "4"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "data error: the signal's norm overflows; rescale the features (--normalize)\n")
+
+
 @pytest.mark.parametrize("verb, flags", [
     ("addl", []),
     ("popularity", []),
@@ -634,6 +651,28 @@ def test_cli_runner_errors(tmp_path, capsys, verb, csv_text, code, message):
         argv += ["--label-column", "Class"]
     assert main(argv) == code
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("verb, flags, code, message", [
+    ("eval", [], 2, "config error: evaluation needs a 'predictions' file (one 0/1 per line)"),
+    ("pretrain", [], 3, "data error: pretraining needs labels"),
+    ("toddler", [], 3, "data error: the online experiment needs labels for evaluation"),
+    ("eval", ["--predictions", "{preds}"], 3,
+     "data error: evaluation needs ground-truth labels in the dataset"),
+], ids=["eval-without-predictions", "pretrain-unlabeled", "toddler-unlabeled", "eval-unlabeled"])
+def test_experiments_refusals(tmp_path, capsys, verb, flags, code, message):
+    data, preds = tmp_path / "data.csv", tmp_path / "preds.txt"
+    data.write_text("a,b\n1,2\n3,4\n")
+    preds.write_text("0\n1\n")
+    assert main([verb, "--out", str(tmp_path / "o"), "--dataset", str(data), "--schema", "generic",
+                 *(f.format(preds=preds) for f in flags)]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_run_experiment_refuses_an_unknown_method(tmp_path):
+    # the CLI's parser refuses an unknown verb before it gets here
+    with pytest.raises(ConfigError, match="^unknown method 'bogus'$"):
+        run_experiment("bogus", {}, tmp_path / "o")
 
 
 @pytest.mark.parametrize("data_bytes, preds_bytes", [

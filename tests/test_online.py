@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -592,12 +593,29 @@ def test_non_finite_sample_raises_before_the_state_moves(tmp_path, bad, entries)
     kept = (st.G.tobytes(), st.model.D.atoms.tobytes(), st.samples_seen)
     W, A = st.model.W.copy(), st.model.A.copy()
     message = f"^sample {st.samples_seen + 1} holds a NaN or inf value$"
-    # OMP codes such a y empty; an all-inf y meets inf - inf in its
-    # correlations, which numpy flags as invalid
-    with np.errstate(invalid="ignore"), pytest.raises(DataError, match=message):
+    # OMP codes such a y empty before it forms a product with it, so numpy
+    # flags no inf - inf under the suite's error filter
+    with pytest.raises(DataError, match=message):
         toddler_step(st, y)
     with pytest.raises(DataError, match=message):
         rls_update(st, y, SparseCode([0, 5], [1.0, -0.5], 8))
+    assert (st.G.tobytes(), st.model.D.atoms.tobytes(), st.samples_seen) == kept
+    assert np.array_equal(st.model.W, W) and np.array_equal(st.model.A, A)
+
+
+@pytest.mark.parametrize("value, entries", [
+    (1e160, slice(3, 4)), (1e160, slice(None)), (1e154, slice(None)),
+], ids=["one-square-overflows", "all-squares-overflow", "sum-overflows"])
+def test_sample_whose_norm_overflows_raises_before_the_state_moves(value, entries):
+    # a finite y with ||y|| = inf would be coded empty and scored as class 0
+    st, Dt = _toy_state(seed=21, phi=0.95)
+    y = Dt[:, 0] + Dt[:, 5]
+    y[entries] = value
+    kept = (st.G.tobytes(), st.model.D.atoms.tobytes(), st.samples_seen)
+    W, A = st.model.W.copy(), st.model.A.copy()
+    with pytest.raises(DataError, match=r"^the signal's norm overflows; rescale the features "
+                                        r"\(--normalize\)$"):
+        toddler_step(st, y)
     assert (st.G.tobytes(), st.model.D.atoms.tobytes(), st.samples_seen) == kept
     assert np.array_equal(st.model.W, W) and np.array_equal(st.model.A, A)
 
@@ -761,3 +779,31 @@ def test_toddler_run_bytes_pinned_at_bench_shapes(tmp_path):
     }, tmp_path) == "79331e4c12926ccddf61629d3893af1370b98f0d25c361ff5388ac7400ba0d1a"
     with np.load(tmp_path / "checkpoint.npz") as z:
         assert int(z["samples_seen"]) == 400
+
+
+def _warmup(code_dim=8):
+    """init_state's model of 8 atoms, warm-up signals and 30 warm-up codes
+    of dimension code_dim."""
+    Dt, _, _ = planted_instance(10, 8, 1, 1, seed=17)
+    X = _sparse_cols(np.random.default_rng(17), code_dim, 2, 30)
+    return _model(Dt), np.zeros((10, 30)), SparseCodeMatrix.from_dense(X)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: init_state(*_warmup(9), coding=CodingConfig(2)),
+     "warmup codes inconsistent with the model dictionary"),
+    (lambda: init_state(*_warmup(), phi=0.0, coding=CodingConfig(2)),
+     "forgetting factor must lie in (0, 1]"),
+    (lambda: init_state(*_warmup(), phi=1.5, coding=CodingConfig(2)),
+     "forgetting factor must lie in (0, 1]"),
+    (lambda: LambdaPolicy("bogus"), "unknown lambda policy 'bogus'"),
+], ids=["warmup-code-dimension", "zero-phi", "phi-above-1", "unknown-policy"])
+def test_online_refusals(call, message):
+    # the CLI refuses phi and the policy as config errors before they get here
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_spectral_norm_of_an_empty_matrix_is_zero(shape):
+    assert spectral_norm(np.zeros(shape)) == 0.0

@@ -187,17 +187,18 @@ def _exact_exit_batch(A, Y, cfg):
     """The coding kernel as it was before the exit bound: the exact residual
     after every solve but the last decides each column's early exit. It
     shares the unchanged row-product helper; each step solves its support's
-    system from scratch."""
+    system from scratch. Like the kernel, it forms D^T y only for the
+    signals that pass the empty-code test."""
     G = A.T @ A
     Yt = np.ascontiguousarray(Y.T)
-    a0 = np.matmul(Yt[:, None, :], A)[:, 0, :]
     ynorm = np.linalg.norm(Yt, axis=1)
     tol = np.maximum(cfg.residual_tol, 1e-9 * ynorm)
     supports = np.zeros((Yt.shape[0], cfg.s), dtype=int)
     values = np.zeros((Yt.shape[0], cfg.s))
     nnz = np.zeros(Yt.shape[0], dtype=int)
     live = np.flatnonzero(ynorm > tol)
-    a0, y, tol = a0[live], Yt[live], tol[live]
+    y, tol = Yt[live], tol[live]
+    a0 = np.matmul(y[:, None, :], A)[:, 0, :]
     S = np.zeros((live.size, cfg.s), dtype=int)
     coef = np.zeros((live.size, cfg.s))
     for k in range(cfg.s):
@@ -223,14 +224,15 @@ def _exact_exit_batch(A, Y, cfg):
 
 
 def _exact_exit_omp(A, y, cfg):
-    """omp as it was before the exit bound, on one contiguous signal."""
-    G = A.T @ A
-    a0 = y @ A
+    """omp as it was before the exit bound, on one contiguous signal, which
+    forms G and D^T y only past the empty-code test."""
     ynorm = np.sqrt((y * y).sum())
     tol = max(cfg.residual_tol, 1e-9 * ynorm)
     S = np.zeros(cfg.s, dtype=int)
     if not ynorm > tol:
         return S[:0], np.zeros(0), 0
+    G = A.T @ A
+    a0 = y @ A
     rows, coef = G[:0], np.zeros(0)
     for k in range(cfg.s):
         corr = np.abs(a0 - coef @ rows)

@@ -1,3 +1,4 @@
+import re
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import pytest
 from dictad import (
     CodingConfig,
     CodingError,
+    DataError,
     Dictionary,
     NumericalError,
     SparseCode,
@@ -18,7 +20,7 @@ from dictad import (
     representation_errors,
 )
 
-from dictad import online
+from dictad import online, sparse_coding
 from helpers import planted_instance, random_dictionary
 
 
@@ -175,6 +177,26 @@ def test_overflowed_atom_scale_reported_as_such(scales):
             batch_code(D, Y, CodingConfig(3))
         with pytest.raises(CodingError, match="^column 1: " + message):
             batch_code(D, np.column_stack([np.zeros(8), Y[:, 1]]), CodingConfig(3))
+
+
+@pytest.mark.parametrize("value, entries", [
+    (1e160, slice(3, 4)), (1e160, slice(None)), (1e154, slice(None)),
+], ids=["one-square-overflows", "all-squares-overflow", "sum-overflows"])
+def test_finite_signal_whose_norm_overflows_is_refused(monkeypatch, value, entries):
+    # its threshold would be inf too, so it would be coded empty; an inf
+    # signal is still coded empty, without a warning
+    D, cfg = random_dictionary(8, 16, seed=3), CodingConfig(3)
+    Y = np.random.default_rng(3).standard_normal((8, 5))
+    Y[:, 1] = np.inf
+    Y[entries, 3] = value
+    message = r"the signal's norm overflows; rescale the features \(--normalize\)$"
+    with pytest.raises(DataError, match="^" + message):
+        omp(D, Y[:, 3], cfg)
+    assert omp(D, Y[:, 1], cfg).nnz == 0
+    monkeypatch.setattr(sparse_coding, "_CHUNK", 2)  # column 3 is the second chunk's first
+    with pytest.raises(DataError, match="^column 3: " + message):
+        batch_code(D, Y, cfg)
+    assert batch_code(D, Y[:, :3], cfg).nnz.tolist() == [3, 0, 3]
 
 
 def _code_one_column(D, y, cfg):
@@ -361,3 +383,26 @@ def test_only_online_calls_numpy_lapack_gufuncs():
     for token in ("_umath_linalg", "np.errstate(call="):
         users = [p.name for p in modules if token in p.read_text(encoding="utf-8")]
         assert users == ["online.py"], token
+
+
+_EYE = Dictionary(np.eye(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Dictionary(np.ones(3)), "dictionary must be a nonempty 2-d matrix"),
+    (lambda: Dictionary(np.ones((3, 0))), "dictionary must be a nonempty 2-d matrix"),
+    (lambda: batch_code(_EYE, np.ones(3), CodingConfig(1)),
+     "batch input must be an m x N matrix with N >= 1"),
+    (lambda: batch_code(_EYE, np.ones((3, 0)), CodingConfig(1)),
+     "batch input must be an m x N matrix with N >= 1"),
+    (lambda: sparse_coding.residuals(_EYE, np.ones((2, 1)),
+                                     SparseCodeMatrix.from_dense(np.zeros((3, 1)))),
+     "dimension mismatch: Y (2, 1), D (3, 3), X 3x1"),
+    (lambda: sparse_coding.residuals(_EYE, np.ones((3, 1)),
+                                     SparseCodeMatrix.from_dense(np.zeros((4, 1)))),
+     "dimension mismatch: Y (3, 1), D (3, 3), X 4x1"),
+], ids=["dictionary-1d", "dictionary-no-atoms", "batch-1d", "batch-no-signals",
+        "residuals-signal-dimension", "residuals-code-dimension"])
+def test_sparse_coding_refusals(call, message):
+    with pytest.raises(CodingError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from dictad import (
     synth_generate,
     train,
 )
+from dictad.cli import main
 from dictad.supervised import MODEL_FORMAT_VERSION
 
 
@@ -155,3 +158,46 @@ def test_model_version_checked(tmp_path):
              class_of_atom=np.zeros(2), sparsity=np.int64(1))
     with pytest.raises(DataError, match="unsupported model format version"):
         load_model(path)
+
+
+_SIX_ROWS = "a,b,c,Class\n" + "".join(f"{k},{k * k % 5},{k % 3},{k % 2}\n" for k in range(6))
+_ZERO_ROWS = "a,b,c,Class\n" + "".join(f"0,0,0,{k % 2}\n" for k in range(8))
+
+
+def _bare_npy(path):
+    np.save(path, np.eye(3))
+    return load_model(path)
+
+
+@pytest.mark.parametrize("call, message, csv_text", [
+    (lambda p: PretrainConfig(-1.0, 1.0, 4, 5, CodingConfig(2)),
+     "alpha and beta must be nonnegative", None),
+    (lambda p: PretrainConfig(1.0, -1.0, 4, 5, CodingConfig(2)),
+     "alpha and beta must be nonnegative", None),
+    (lambda p: PretrainConfig(1.0, 1.0, 0, 5, CodingConfig(2)),
+     "atoms_per_class must be >= 1", None),
+    (lambda p: stack_training(np.ones((2, 3)), np.ones((2, 4)), np.ones((4, 3)), 1.0, 1.0),
+     "Y, H, Q must share the sample count", None),
+    (lambda p: pretrain(np.ones((3, 6)), np.arange(6) % 2,
+                        PretrainConfig(1.0, 1.0, 4, 5, CodingConfig(2))),
+     "need at least 8 samples for 8 atoms, got 6", _SIX_ROWS),
+    (lambda p: pretrain(np.zeros((3, 8)), np.arange(8) % 2,
+                        PretrainConfig(1.0, 1.0, 4, 5, CodingConfig(2))),
+     "stacked atom 0 has zero reconstruction block", _ZERO_ROWS),
+    (lambda p: _bare_npy(p / "model.npy"), "{tmp}/model.npy is not a model file (.npz)", None),
+], ids=["negative-alpha", "negative-beta", "no-atoms-per-class", "stack-sample-counts",
+        "fewer-samples-than-atoms", "all-zero-features", "bare-npy-model"])
+def test_supervised_refusals(tmp_path, capsys, call, message, csv_text):
+    # where a CSV reaches the refusal, the pretrain verb exits 3 with its one
+    # line; the CLI refuses the bad configurations as config errors first,
+    # and no verb reads a model file
+    message = message.format(tmp=tmp_path)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+    if csv_text is not None:
+        data = tmp_path / "data.csv"
+        data.write_text(csv_text)
+        assert main(["pretrain", "--out", str(tmp_path / "o"), "--dataset", str(data),
+                     "--schema", "generic", "--label-column", "Class",
+                     "--atoms-per-class", "4", "--sparsity", "2"]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
