@@ -66,7 +66,8 @@ def _collect_params(args: argparse.Namespace) -> dict:
     params: dict = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as f:  # JSON is UTF-8 (RFC 8259)
+            # JSON is UTF-8 (RFC 8259); Windows tools may start it with a byte-order mark
+            with open(args.config, encoding="utf-8-sig") as f:
                 params = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read config file {args.config}: {e.strerror}") from None

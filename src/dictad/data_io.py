@@ -93,7 +93,7 @@ def _raise_row_error(path, header, lidx, reason):
     """Re-read the body with csv.reader and raise a DataError naming the
     first row that is ragged, holds a non-numeric cell or a label other
     than 0/1; `reason` is the message if no row shows the fault."""
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         next(reader)
         for rnum, rec in enumerate(reader, start=2):
@@ -118,7 +118,8 @@ def _parse_rows(text):
 
 
 def _lines(raw):
-    """The binary stream raw as load_csv's file reads it: UTF-8, line ends kept."""
+    """The binary stream raw, a part of a CSV body, as load_csv's file reads
+    it: UTF-8 (a byte-order mark can only precede the header), line ends kept."""
     return io.TextIOWrapper(raw, encoding="utf-8", newline="")
 
 
@@ -249,14 +250,15 @@ def _read_halves(path, width, fidx, lidx):
 
 
 def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Dataset:
-    """Load a headered UTF-8 CSV. schema 'ulb' selects V1..V28 + Amount with
-    the Class label; schema 'generic' takes every non-label column as a
-    feature (labels absent when label_column is None). Every cell must be a
-    number; cells may be quoted with '"' and blank lines are skipped."""
+    """Load a headered UTF-8 CSV, with or without a byte-order mark. schema
+    'ulb' selects V1..V28 + Amount with the Class label; schema 'generic'
+    takes every non-label column as a feature (labels absent when
+    label_column is None). Every cell must be a number; cells may be quoted
+    with '"' and blank lines are skipped."""
     if schema not in ("ulb", "generic"):
         raise DataError(f"unknown CSV schema {schema!r}")
     try:
-        f = open(path, newline="", encoding="utf-8")
+        f = open(path, newline="", encoding="utf-8-sig")
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from None
     try:
@@ -509,8 +511,10 @@ def save_csv(dataset: Dataset, path):
 
 def normalize(dataset: Dataset) -> Dataset:
     """Feature-wise z-scoring: mean 0, sample standard deviation 1
-    (N-1 divisor). Constant features map to zeros with a warning; a feature
-    whose standard deviation is not finite (its variance overflows) raises
+    (N-1 divisor). Constant features map to zeros with a warning. A feature
+    whose standard deviation is not finite (its sum or variance overflows)
+    is z-scored from its values divided by its largest |value|, which gives
+    the same z-scores without the overflow; a non-finite value in it raises
     DataError."""
     if dataset.n_samples < 2:
         raise DataError("normalization needs at least 2 samples")
@@ -519,8 +523,14 @@ def normalize(dataset: Dataset) -> Dataset:
         sigma = dataset.Y.std(axis=1, ddof=1, keepdims=True)
     huge = np.flatnonzero(~np.isfinite(sigma.ravel()))
     if huge.size:
-        raise DataError("standard deviation not finite (variance overflow) for features "
-                        f"{[dataset.feature_names[i] for i in huge]}")
+        scaled = dataset.Y[huge]
+        bad = huge[~np.isfinite(scaled).all(axis=1)]
+        if bad.size:
+            raise DataError("non-finite values in features "
+                            f"{[dataset.feature_names[i] for i in bad]}")
+        scaled /= np.abs(scaled).max(axis=1, keepdims=True)
+        mu[huge] = scaled.mean(axis=1, keepdims=True)
+        sigma[huge] = scaled.std(axis=1, ddof=1, keepdims=True)
     flat = np.flatnonzero(sigma.ravel() == 0.0)
     if flat.size:
         warnings.warn(
@@ -528,6 +538,8 @@ def normalize(dataset: Dataset) -> Dataset:
         )
         sigma[flat] = 1.0
     Y = dataset.Y - mu
+    if huge.size:
+        Y[huge] = scaled - mu[huge]
     Y /= sigma
     Y[flat, :] = 0.0
     return Dataset(Y, dataset.labels, dataset.feature_names,

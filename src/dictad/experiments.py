@@ -267,7 +267,7 @@ def run_eval(params: dict, out_dir: Path) -> dict:
         raise DataError("evaluation needs ground-truth labels in the dataset")
     pred_path = params["predictions"]
     try:
-        with open(pred_path, encoding="utf-8") as f:
+        with open(pred_path, encoding="utf-8-sig") as f:
             text = f.read()
     except OSError as e:
         raise DataError(f"cannot read {pred_path}: {e.strerror}") from None

@@ -11,6 +11,8 @@ their scale: on long streams the atom norms grow by orders of magnitude
 while the codes, G and the gram-norm lambdas shrink to match. Each update
 adds back the share of G's ridge that its forgetting took, so the ridge
 keeps G invertible at any phi, even for atoms the stream stops using.
+A state admits phi and G by one rule, OnlineState's, whether init_state
+builds it from a warm-up or load_state reads it from a checkpoint.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import CodingError, DataError, NumericalError
+from .errors import DataError, NumericalError
 from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, omp
 from .supervised import DiscriminativeModel, classify, load_model_file, save_model_file
 
@@ -52,6 +54,12 @@ class LambdaPolicy:
 
 @dataclass
 class OnlineState:
+    """The stream's model, forgotten Gram matrix G, forgetting factor phi,
+    lambda policy, sample count and coding setting. Built, it refuses a phi
+    outside (0, 1] (DataError) and a G that is not finite, bitwise
+    symmetric and positive definite (NumericalError). The stream then
+    updates G in place, and rls_update checks only that it stays finite."""
+
     model: DiscriminativeModel
     G: np.ndarray
     phi: float
@@ -59,10 +67,21 @@ class OnlineState:
     samples_seen: int
     coding: CodingConfig
 
+    def __post_init__(self):
+        if not 0.0 < self.phi <= 1.0:  # refuses NaN too
+            raise DataError(f"phi is {self.phi}, not in (0, 1]")
+        try:
+            np.linalg.cholesky(self.G)  # which reads only the lower triangle
+            sound = np.isfinite(self.G).all() and self.G.tobytes() == self.G.T.tobytes()
+        except np.linalg.LinAlgError:
+            sound = False
+        if not sound:
+            raise NumericalError("G is not symmetric positive definite")
+
     @property
     def Ginv(self) -> np.ndarray:
         """G^-1, inverted from G when read: the stream itself never forms it."""
-        return _inverse(self.G)
+        return np.linalg.inv(self.G)
 
 
 @dataclass
@@ -79,6 +98,8 @@ def _lapack(gufunc: str, signature: str, error: type, *message: str):
     """A function that calls numpy.linalg._umath_linalg.<gufunc>, the LAPACK
     gufunc behind an np.linalg function, with that function's bits and error
     state but not its checks, which cost more than the call on small matrices.
+    The stream calls three: solve1 for the RLS gain, and svd and eigvalsh_lo
+    for spectral norms.
     The decorator sets that state per call without building an errstate
     object: over, divide and underflow ignored, and the invalid flag, by
     which a LAPACK failure reaches numpy, raising error(*message). The
@@ -97,8 +118,6 @@ _svd = _lapack("svd", "d->d", NumericalError, "spectral norm: SVD did not conver
 # the eigenvalues of a symmetric matrix, ascending: np.linalg.eigvalsh(M)
 _eigvalsh = _lapack("eigvalsh_lo", "d->d", NumericalError,
                     "spectral norm: eigenvalues did not converge")
-# G^-1: np.linalg.inv
-_inverse = _lapack("inv", "d->d", NumericalError, "online Gram matrix became singular")
 # the RLS gain G^-1 x: np.linalg.solve(G, x)
 _gain = _lapack("solve1", "dd->d", NumericalError, "online Gram matrix became singular")
 
@@ -142,17 +161,16 @@ def init_state(
     coding: CodingConfig,
 ) -> OnlineState:
     """Build the online state from pretraining codes: G = X X^T plus a small
-    ridge (1e-8 times its mean diagonal) for conditioning, refused if G is
-    still singular or ill-conditioned. The ridge stays in G for the whole
-    stream, so at phi = 1 RLS solves the ridged least-squares problem, not
-    the plain one. The state owns a copy of the model, so streaming never
-    changes the caller's pretrained model."""
+    ridge (1e-8 times its mean diagonal) for conditioning. The ridge stays
+    in G for the whole stream, so at phi = 1 RLS solves the ridged
+    least-squares problem, not the plain one. A G that overflows raises
+    NumericalError; OnlineState refuses phi and any other unsound G. The
+    state owns a copy of the model, so streaming never changes the
+    caller's pretrained model."""
     if warmup_X.n_columns == 0:
         raise DataError("empty warmup: G is undefined")
     if warmup_X.dim != model.D.n:
         raise DataError("warmup codes inconsistent with the model dictionary")
-    if not (0.0 < phi <= 1.0):
-        raise DataError("forgetting factor must lie in (0, 1]")
     if not np.isfinite(warmup_X.values).all():
         raise DataError("warmup codes must be finite")
     Xd = warmup_X.to_dense()
@@ -162,11 +180,6 @@ def init_state(
         G += _ridge(G.diagonal()) * np.eye(n)
     if not np.isfinite(G).all():
         raise NumericalError("warmup Gram matrix overflows: the warmup codes are too large")
-    Ginv = _lapack("inv", "d->d", NumericalError,
-                   "warmup Gram matrix is singular despite ridge")(G)
-    drift = np.linalg.norm(Ginv @ G - np.eye(n), "fro")
-    if not drift <= 1e-6 * n:  # a NaN drift fails too
-        raise NumericalError(f"warmup Gram matrix is ill-conditioned (|Ginv G - I| = {drift:.3g})")
     model = DiscriminativeModel(Dictionary(model.D.atoms.copy()), model.W.copy(),
                                 model.A.copy(), model.class_of_atom.copy())
     return OnlineState(model, G, phi, lambda_policy, warmup_X.n_columns, coding)
@@ -257,26 +270,17 @@ def save_state(path, state: OnlineState):
 
 
 def load_state(path) -> OnlineState:
-    """Inverse of save_state. DataError as in load_model_file, for a G
-    that is not finite, bitwise symmetric and positive definite, a phi
-    outside (0, 1], a samples_seen that is not a count, a coding_s that is
-    not a sparsity of D's atoms and a residual_tol that CodingConfig
-    refuses. G comes back as float64, as the model's arrays do, so the
-    stream updates it in place."""
+    """Inverse of save_state. DataError as in load_model_file, for a
+    samples_seen that is not a count and a coding_s that is not a sparsity
+    of D's atoms, and for whatever CodingConfig, LambdaPolicy or
+    OnlineState refuses (a residual_tol, a policy, phi or G), each message
+    after "PATH is not a state file: ". G comes back as float64, as the
+    model's arrays do, so the stream updates it in place."""
     model, z = load_model_file(path, "state", (
         "G", "phi", "policy_kind", "policy_lambda1", "policy_lambda2", "samples_seen",
         "coding_s", "coding_residual_tol"))
-    G = np.asarray(z["G"], dtype=float)
-    try:
-        np.linalg.cholesky(G)  # which reads only the lower triangle
-        sound = np.isfinite(G).all() and G.tobytes() == G.T.tobytes()
-    except np.linalg.LinAlgError:
-        sound = False
-    if not sound:
-        raise DataError(f"{path} is not a state file: G is not symmetric positive definite")
-    phi, seen, s = (float(z[k]) for k in ("phi", "samples_seen", "coding_s"))
-    for fault, what in ((not 0.0 < phi <= 1.0, f"phi is {phi}, not in (0, 1]"),
-                        (not (seen >= 0 and seen.is_integer()),
+    seen, s = float(z["samples_seen"]), float(z["coding_s"])
+    for fault, what in ((not (seen >= 0 and seen.is_integer()),
                          f"samples_seen is {z['samples_seen']}, not a count"),
                         (not (1 <= s <= model.D.n and s.is_integer()),
                          f"coding_s is {z['coding_s']}, not a sparsity in 1..{model.D.n}")):
@@ -284,9 +288,10 @@ def load_state(path) -> OnlineState:
             raise DataError(f"{path} is not a state file: {what}")
     try:
         coding = CodingConfig(int(s), float(z["coding_residual_tol"]))
-    except CodingError as e:
+        policy = LambdaPolicy(
+            str(z["policy_kind"]), float(z["policy_lambda1"]), float(z["policy_lambda2"])
+        )
+        return OnlineState(model, np.asarray(z["G"], dtype=float), float(z["phi"]), policy,
+                           int(z["samples_seen"]), coding)
+    except (DataError, NumericalError) as e:  # CodingError is a NumericalError
         raise DataError(f"{path} is not a state file: {e}") from None
-    policy = LambdaPolicy(
-        str(z["policy_kind"]), float(z["policy_lambda1"]), float(z["policy_lambda2"])
-    )
-    return OnlineState(model, G, phi, policy, int(z["samples_seen"]), coding)

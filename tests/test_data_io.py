@@ -382,9 +382,11 @@ def _shuffled_ulb(n_rows):
     ("a,b,y\n" + _rows(5, 24) + '3,"4' + "\n" * 400 + '",1\n' + _rows(5, 25), "generic", "y", 0),
     # the header ends at a lone CR, before the first '\n'
     ("a,b,y\r" + _rows(30, 28), "generic", "y", 0),
+    # a UTF-8 byte-order mark before the header's first name, V9
+    ("\ufeff" + _shuffled_ulb(40), "ulb", None, 1),
 ], ids=["quoted-ulb", "ulb-columns-out-of-order", "generic-unlabelled", "crlf",
         "blank-lines-at-split", "no-trailing-newline", "quoted-newline-at-split",
-        "header-ends-in-lone-cr"])
+        "header-ends-in-lone-cr", "byte-order-mark"])
 def test_split_read_equals_one_process_read(tmp_path, text, schema, label, forks):
     p = tmp_path / "t.csv"
     p.write_bytes(text.encode())
@@ -394,6 +396,18 @@ def test_split_read_equals_one_process_read(tmp_path, text, schema, label, forks
     assert_same_load(one, two)
     assert len(forked) == forks
     assert_no_child_left()
+
+
+def test_load_csv_reads_past_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" and PowerShell start the file with one; it is not
+    # part of the first column's name
+    body = "".join(f"{k % 2},{k * 0.5!r},{-k!r}\n" for k in range(6))
+    (tmp_path / "plain.csv").write_text("y,a,b\n" + body, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text("y,a,b\n" + body, encoding="utf-8-sig")
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    bom = load_csv(tmp_path / "bom.csv", schema="generic")
+    assert_same_load(load_csv(tmp_path / "plain.csv", schema="generic"), bom)
+    assert bom.feature_names == ["y", "a", "b"]
 
 
 def test_split_read_reaps_its_child_when_the_parent_half_raises(tmp_path, monkeypatch):

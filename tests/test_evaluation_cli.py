@@ -417,20 +417,30 @@ def test_cli_malformed_csv_split_read_same_message(tmp_path, capsys, schema, csv
     assert_no_child_left()
 
 
-def test_normalize_variance_overflow_exit_3(tmp_path, capsys):
-    # (+-1e200)^2 overflows: the feature is refused, not silently zeroed
+def test_normalize_variance_overflow_rescales(tmp_path, capsys):
+    # (+-1e200)^2 overflows: the feature is z-scored from its values over
+    # 1e200, and the other feature keeps the bits of its own z-scores
     Y = np.vstack([np.tile([1e200, -1e200], 5), np.arange(10.0)])
-    with pytest.raises(DataError, match=r"for features \['a'\]"):
-        normalize(Dataset(Y, None, ["a", "b"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = normalize(Dataset(Y, None, ["a", "b"]))
+    assert np.array_equal(out.Y[0], np.tile([1.0, -1.0], 5) / math.sqrt(10 / 9))
+    assert np.array_equal(out.Y[1], normalize(Dataset(Y[1:], None, ["b"])).Y[0])
+    gauss = np.random.default_rng(3).standard_normal(1000) * 1e300
+    z = normalize(Dataset(gauss[None], None, ["g"])).Y[0]
+    assert abs(z.mean()) <= 1e-16 and math.isclose(z.std(ddof=1), 1.0, rel_tol=1e-15)
     data = tmp_path / "data.csv"
     data.write_text("a,b,Class\n" + "".join(f"{a:g},{b:g},{k % 2}\n"
                                             for k, (a, b) in enumerate(Y.T)))
     rc = main(["addl", "--out", str(tmp_path / "o"), "--dataset", str(data),
                "--schema", "generic", "--label-column", "Class", "--normalize"])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert err.startswith("data error: ")
-    assert err.count("\n") == 1
+    assert rc == 0, capsys.readouterr().err
+
+
+def test_normalize_refuses_non_finite_values_of_an_overflowing_feature():
+    Y = np.array([[1e300, -1e300, np.nan], [1e300, -1e300, 0.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(DataError, match=r"^non-finite values in features \['a'\]$"):
+        normalize(Dataset(Y, None, ["a", "b", "c"]))
 
 
 
@@ -708,6 +718,22 @@ def test_cli_reads_the_config_as_utf8_in_any_locale(tmp_path):
                            "--out", str(tmp_path / "o")], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "o" / "result.json").read_text())["metrics"]["accuracy"] == 1.0
+
+
+def test_cli_reads_past_a_byte_order_mark(tmp_path, capsys):
+    # Excel's "CSV UTF-8" and PowerShell start each text file with one
+    data, preds, config = tmp_path / "data.csv", tmp_path / "preds.txt", tmp_path / "cfg.json"
+    data.write_text("Class,a\n0,1\n1,2\n", encoding="utf-8-sig")
+    preds.write_text("0\n1\n", encoding="utf-8-sig")
+    config.write_text(json.dumps({"dataset": str(data), "schema": "generic",
+                                  "label_column": "Class", "predictions": str(preds)}),
+                      encoding="utf-8-sig")
+    assert main(["eval", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "result.json").read_text())["metrics"]["accuracy"] == 1.0
+    # and a faulty row is named against the header the loader read
+    data.write_text("Class,a\n0,1\n1,x\n", encoding="utf-8-sig")
+    assert main(["eval", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+    assert "non-numeric cell 'x' at row 3, column 'a'" in capsys.readouterr().err
 
 
 def test_cli_eval_subsample_ratio_exit_2(tmp_path, capsys):

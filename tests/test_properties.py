@@ -31,7 +31,9 @@ from dictad import (
     DiscriminativeModel,
     Dataset,
     DLConfig,
+    DictadError,
     DLResult,
+    LambdaPolicy,
     NumericalError,
     SparseCode,
     SparseCodeMatrix,
@@ -42,19 +44,22 @@ from dictad import (
     init_dictionary,
     init_state,
     load_csv,
+    load_state,
     normalize,
     objective,
     omp,
     representation_errors,
     rls_update,
+    save_state,
     subsample,
     SynthConfig,
     synth_generate,
     tikhonov_update,
+    toddler_step,
     train,
 )
 from dictad import data_io
-from dictad.online import _CHECK_EVERY
+from dictad.online import _CHECK_EVERY, LAMBDA_POLICIES
 from dictad.dictionary_learning import _sign_fix, atom_update_pass
 from dictad import sparse_coding
 from dictad.sparse_coding import _weighted_rows, residuals
@@ -569,6 +574,56 @@ def test_rls_update_keeps_a_negative_zero_pair_symmetric():
         rls_update(state, np.ones(6), x)
     assert np.signbit(state.G[0, 1]) and np.signbit(state.G[1, 0])
     assert state.G.tobytes() == state.G.T.tobytes()
+
+
+def _stream(state, Y):
+    """toddler_step over the columns of Y: each outcome's prediction and
+    score bits, then the message of the error that stopped the stream."""
+    seen = []
+    try:
+        for y in Y.T:
+            out = toddler_step(state, y)[1]
+            seen.append((out.predicted_class, out.scores.tobytes()))
+    except DictadError as e:
+        seen.append(repr(e))
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(2, 10), st.integers(1, 3),
+       st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       st.sampled_from(LAMBDA_POLICIES), st.integers(1, 150), st.data(),
+       st.integers(0, 2**32 - 1))
+def test_stream_resumed_from_a_checkpoint_keeps_its_bits(s, extra_atoms, m, n_classes, phi,
+                                                         policy, n_stream, data, seed):
+    # Streaming k samples, checkpointing through save_state and load_state
+    # and streaming the rest gives the scores, predictions and final D, W,
+    # A and G of the uninterrupted stream, bit for bit
+    n = s + extra_atoms
+    rng = np.random.default_rng(seed)
+    Dt = rng.standard_normal((m, n))
+    Dt /= np.linalg.norm(Dt, axis=0)
+    Xw = _sparse_cols(rng, n, s, 3 * n)
+    model = DiscriminativeModel(Dictionary(Dt.copy()), rng.standard_normal((n_classes, n)),
+                                rng.standard_normal((n, n)), np.arange(n) % n_classes)
+    Y = Dt @ _sparse_cols(rng, n, s, n_stream) + 0.05 * rng.standard_normal((m, n_stream))
+    whole = init_state(model, Dt @ Xw, SparseCodeMatrix.from_dense(Xw), phi=phi,
+                       lambda_policy=LambdaPolicy(policy, 1.5, 0.5), coding=CodingConfig(s))
+    resumed = copy.deepcopy(whole)
+    k = data.draw(st.integers(0, n_stream), label="k")
+    with np.errstate(all="ignore"):  # both streams compute the same bits, warned or not
+        want = _stream(whole, Y)
+        got = _stream(resumed, Y[:, :k])
+        if len(got) == k:  # no error stopped the first part
+            with tempfile.TemporaryDirectory() as d:
+                save_state(Path(d) / "state.npz", resumed)
+                resumed = load_state(Path(d) / "state.npz")
+            got += _stream(resumed, Y[:, k:])
+    assert got == want
+    assert resumed.samples_seen == whole.samples_seen
+    for a, b in ((resumed.model.D.atoms, whole.model.D.atoms), (resumed.model.W, whole.model.W),
+                 (resumed.model.A, whole.model.A), (resumed.G, whole.G)):
+        assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import ast
 import re
 import warnings
 from pathlib import Path
@@ -338,15 +339,13 @@ def test_strided_signal_codes_like_batch_column():
 
 
 @pytest.mark.parametrize("made, public, name, signature, error, message", [
-    (online._inverse, np.linalg.inv, "inv", "d->d", NumericalError,
-     ("online Gram matrix became singular",)),
     (online._gain, np.linalg.solve, "solve1", "dd->d", NumericalError,
      ("online Gram matrix became singular",)),
     (online._svd, lambda M: np.linalg.svd(M, compute_uv=False), "svd", "d->d", NumericalError,
      ("spectral norm: SVD did not converge",)),
     (online._eigvalsh, np.linalg.eigvalsh, "eigvalsh_lo", "d->d", NumericalError,
      ("spectral norm: eigenvalues did not converge",)),
-], ids=["inv", "gain", "svd", "eigvalsh"])
+], ids=["gain", "svd", "eigvalsh"])
 def test_lapack_calls_keep_the_wrappers_bits_and_error_state(monkeypatch, made, public, name,
                                                              signature, error, message):
     rng = np.random.default_rng(20)
@@ -383,6 +382,17 @@ def test_only_online_calls_numpy_lapack_gufuncs():
     for token in ("_umath_linalg", "np.errstate(call="):
         users = [p.name for p in modules if token in p.read_text(encoding="utf-8")]
         assert users == ["online.py"], token
+    # and the gufuncs it passes to _lapack are those that pyproject.toml's
+    # numpy cap names as its reason
+    tree = ast.parse(Path(online.__file__).read_text(encoding="utf-8"))
+    called = {node.args[0].value for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lapack"}
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    comment = " ".join(line.strip().lstrip("# ")
+                       for line in pyproject.read_text(encoding="utf-8").splitlines()
+                       if line.strip().startswith("#"))
+    listed = re.search(r"online\._lapack calls the (.+?) gufuncs", comment).group(1)
+    assert called == set(re.split(r", | and ", listed))
 
 
 _EYE = Dictionary(np.eye(3))
