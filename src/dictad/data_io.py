@@ -15,6 +15,7 @@ import os
 import signal
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -132,19 +133,18 @@ def _cpus():
 @contextlib.contextmanager
 def _forked(child):
     """Run child(pipe) in a forked process while the block runs in this one.
-    The child only writes: to pipe, the write end of a new pipe, or to files
-    it shares with this process; this process sends it nothing. Yields (pipe,
-    finished), pipe being this process's read end as a binary file:
-    finished() closes it, waits for the child and tells whether child
-    returned (an exception exits the child with status 1). Yields None when
-    fork fails (e.g. at the process limit). A child not waited for when the
-    block ends is killed and reaped."""
+    The child only writes, to pipe, the write end of a new pipe; this
+    process sends it nothing. Yields (pipe, finished), pipe being this
+    process's read end as a binary file: finished() closes it, waits for the
+    child and tells whether child returned (an exception exits the child
+    with status 1). Yields None when fork fails (e.g. at the process limit).
+    A child not waited for when the block ends is killed and reaped."""
     r, w = os.pipe()
     with warnings.catch_warnings():
         # Python >= 3.12 warns that a child forked from a process with other
         # threads (OpenBLAS's idle workers) may deadlock on a lock one of
-        # them held. The children here take no such lock: they parse or
-        # format numbers, write to their pipe or file, and leave through os._exit.
+        # them held. The child here takes no such lock: it parses numbers,
+        # writes to its pipe and leaves through os._exit.
         warnings.filterwarnings("ignore", "This process .*multi-threaded", DeprecationWarning)
         try:
             pid = os.fork()
@@ -319,10 +319,6 @@ def _read_csv(f, path, schema: str, label_column: str | None) -> Dataset:
 # save_csv formats this many rows per write; blocks of 4,096 rows (5 MB of
 # slots at 29 features) ran ~1.6x slower on a 2-CPU host
 _SAVE_ROWS = 1024
-# save_csv formats a dataset of at least this many samples in two processes.
-# On 2 CPUs, 29 features, 2,048 rows wrote in 1.37x the one-process time,
-# 4,096 in 0.98x and 8,192 in 0.79x: the fork and the child's exit cost ~10 ms
-_SPLIT_ROWS = 8192
 _U64 = np.uint64
 # 5^k for k = 0..20 in 32-bit limbs: 1e-4 <= |x| < 1e17 needs 10^k with
 # k = 16 - X for the decimal exponent X in -4..16
@@ -466,47 +462,29 @@ def save_csv(dataset: Dataset, path):
     by numpy in blocks of rows. Python formats the others: the tiny and huge
     values that '%.17g' writes in exponent notation, and non-finite ones.
 
-    From _SPLIT_ROWS samples on 2 or more CPUs, a forked child formats the
-    first half of the blocks and writes each at its offset after the header,
-    while this process formats the second half; once the child has exited
-    0, this process appends its blocks. If the child fails, this process
-    writes the first half itself over whatever the child wrote, then its
-    own blocks, and cuts the file back to their end, so the bytes and
-    errors are those of one process."""
+    This thread formats every other block and writes all of them in order.
+    With 2 or more CPUs a worker thread formats the blocks in between, as
+    numpy releases the GIL in most of that work; with one CPU, or when no
+    thread can start, this thread formats them too."""
+    from concurrent.futures import ThreadPoolExecutor
+
     header = list(dataset.feature_names) + (["Class"] if dataset.labels is not None else [])
     text = io.StringIO()
     csv.writer(text).writerow(header)
+    block = partial(_csv_block, dataset)
     starts = range(0, dataset.n_samples, _SAVE_ROWS)
-    split = dataset.n_samples >= _SPLIT_ROWS and _cpus() > 1
-    cut = len(starts) // 2 if split else len(starts)
-    with open(path, "wb") as f:
-        # buffered past the fork: on a file that refuses writes the child
-        # fails, then this process's first flush raises the one-process error
+    # one worker, not two: a thread's malloc arena keeps the peak of the
+    # blocks it formats (~6 MB at 29 features), where this thread's arena
+    # reuses what the process freed before
+    with open(path, "wb") as f, ThreadPoolExecutor(1) as pool:
         f.write(text.getvalue().encode())
-        at = f.tell()
-
-        def child(pipe):
-            end = at
-            for start in starts[:cut]:
-                lines = _csv_block(dataset, start)
-                if os.pwrite(f.fileno(), lines, end) < len(lines):
-                    raise OSError("short write")
-                end += len(lines)
-
-        rest = (_csv_block(dataset, start) for start in starts[cut:])
-        with _forked(child) if split else contextlib.nullcontext() as fork:
-            if fork is not None:
-                _, finished = fork
-                rest = list(rest)
-                if finished():
-                    f.seek(0, os.SEEK_END)
-                    f.writelines(rest)
-                    return
-                f.seek(at)  # to write over the child's bytes
-        f.writelines(_csv_block(dataset, start) for start in starts[:cut])
-        f.writelines(rest)
-        if fork is not None:
-            f.truncate()  # drops the child's bytes past the end
+        odd = map(block, starts[1::2])
+        if _cpus() > 1:
+            with contextlib.suppress(RuntimeError):  # a thread cannot start, e.g. at the limit
+                odd = pool.map(block, starts[1::2])
+        for start in starts[::2]:
+            f.write(block(start))
+            f.write(next(odd, b""))
 
 
 def normalize(dataset: Dataset) -> Dataset:

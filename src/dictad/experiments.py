@@ -249,6 +249,9 @@ def run_popularity(params: dict, out_dir: Path) -> dict:
         if ds.labels is None:
             raise ConfigError("n_anomalies is required when the dataset has no labels")
         n_anom = int(np.sum(ds.labels == 1))
+        if n_anom == 0:
+            raise DataError("the dataset labels no sample as an anomaly; "
+                            "--n-anomalies sets the anomaly count")
     cfg = PopularityConfig(n_anom, _stage_dl(params), _coding(params), params["max_iterations"])
     labels, trace = popularity_filter_run(ds.Y, cfg, truth=ds.labels)
     return _filter_outputs(ds, labels, trace, out_dir)
@@ -281,7 +284,11 @@ def run_eval(params: dict, out_dir: Path) -> dict:
             raise DataError(f"{pred_path}: line {k} is {t!r}, not 0 or 1")
         text = "\n".join(lines)
     digits = np.frombuffer(text.encode(), dtype=np.uint8)
-    rep = confusion(ds.labels, digits[digits != ord("\n")] == ord("1"))
+    preds = digits[digits != ord("\n")] == ord("1")
+    if len(preds) != ds.n_samples:
+        raise DataError(f"{pred_path} holds {len(preds)} predictions "
+                        f"for {ds.n_samples} dataset rows")
+    rep = confusion(ds.labels, preds)
     return rep.as_dict()
 
 

@@ -1,7 +1,6 @@
 """Shared construction helpers for the test suite."""
 
 import contextlib
-import math
 import os
 import warnings
 
@@ -36,11 +35,11 @@ def planted_instance(m, n, N, s, seed, sigma=0.0, positive=False):
 
 @contextlib.contextmanager
 def split_csv_reads():
-    """Within the block, load_csv parses and save_csv writes in two processes
-    every body they can split, whatever its size and the host's CPU count.
-    Yields the list of the pids they fork. After each fork the parent sees
-    the DeprecationWarning that Python >= 3.12 gives when a process with
-    threads forks."""
+    """Within the block, load_csv parses in two processes every body it can
+    split, whatever its size and the host's CPU count, and save_csv formats
+    with its worker thread. Yields the list of the pids load_csv forks. After each
+    fork the parent sees the DeprecationWarning that Python >= 3.12 gives
+    when a process with threads forks."""
     forked, fork = [], os.fork
 
     def fork_and_warn():
@@ -53,20 +52,20 @@ def split_csv_reads():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_io, "_SPLIT_BYTES", 0)
-        mp.setattr(data_io, "_SPLIT_ROWS", 0)
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         mp.setattr(os, "fork", fork_and_warn)
         yield forked
 
 
 def saved_csv_bytes(ds, path, split):
-    """The bytes save_csv writes for ds at path: in two processes when split,
-    else in one whatever its size."""
-    with split_csv_reads() as forked:  # which restores _SPLIT_ROWS on exit
+    """The bytes save_csv writes for ds at path: with its worker thread, as
+    with two CPUs, when split, else in this thread alone, as with one CPU.
+    No process is forked."""
+    with split_csv_reads() as forked, pytest.MonkeyPatch.context() as mp:
         if not split:
-            data_io._SPLIT_ROWS = math.inf
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         data_io.save_csv(ds, path)
-    assert len(forked) == split
+    assert not forked
     assert_no_child_left()
     return path.read_bytes()
 

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -506,134 +507,95 @@ def _table(n=3_000, seed=32):
     return Dataset(rng.standard_normal((4, n)), rng.integers(0, 2, n), ["a", "b", "c", "d"])
 
 
-def _junk_and_exit_1(monkeypatch, parent):
-    # the child writes its blocks and junk after them, then exits 1
-    lines, exit = data_io._csv_lines, os._exit
-    monkeypatch.setattr(data_io, "_csv_lines", lambda x, ends: lines(x, ends) + (
-        b"" if os.getpid() == parent else b"junk" * 100_000))
-    monkeypatch.setattr(os, "_exit", lambda code: exit(1))
-
-
-def _short_write(monkeypatch, parent):
-    pwrite = os.pwrite
-    monkeypatch.setattr(os, "pwrite", lambda fd, data, at: pwrite(fd, data[:len(data) // 2], at))
-
-
-def _write_error(monkeypatch, parent):
-    def full(fd, data, at):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-    monkeypatch.setattr(os, "pwrite", full)
-
-
-def _format_error(monkeypatch, parent):
-    # the child raises before it writes a byte
-    lines = data_io._csv_lines
-
-    def child_fails(x, ends):
-        if os.getpid() != parent:
-            raise RuntimeError("child")
-        return lines(x, ends)
-
-    monkeypatch.setattr(data_io, "_csv_lines", child_fails)
-
-
-@pytest.mark.parametrize("fault", [_junk_and_exit_1, _short_write, _write_error, _format_error],
-                         ids=["nonzero-exit-after-junk", "short-write", "write-error",
-                              "format-error"])
-def test_split_write_falls_back_when_the_child_fails(tmp_path, monkeypatch, fault):
-    # this process writes the child's blocks itself over whatever the child
-    # wrote, then its own, and cuts the junk off: the bytes are those of one process
+def test_save_csv_formats_in_this_thread_when_no_thread_starts(tmp_path, monkeypatch):
     ds = _table()
     want = saved_csv_bytes(ds, tmp_path / "one.csv", False)
-    parent = os.getpid()
-    fault(monkeypatch, parent)
     lines, formatted = data_io._csv_lines, []
 
     def counted(x, ends):
-        if os.getpid() == parent:
-            formatted.append(len(x))
+        formatted.append((threading.get_ident(), len(x)))
         return lines(x, ends)
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(data_io, "_csv_lines", counted)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert saved_csv_bytes(ds, tmp_path / "two.csv", True) == want
-    assert sum(formatted) == ds.n_samples  # the second half, then the child's first
+    assert {ident for ident, _ in formatted} == {threading.get_ident()}
+    assert sum(n for _, n in formatted) == ds.n_samples
 
 
-def test_split_write_reaps_its_child_when_the_parent_half_raises(tmp_path, monkeypatch):
-    # the child may still be formatting or writing its half when this process gives up
-    parent, lines = os.getpid(), data_io._csv_lines
+def test_save_csv_raises_a_worker_fault_and_leaves_no_thread(tmp_path, monkeypatch):
+    # the worker's third block fails while this thread formats and writes
+    # its own and the worker's next blocks may be queued or running
+    lines, in_worker, fault = data_io._csv_lines, [], RuntimeError("format")
 
-    def parent_fails(x, ends):
-        if os.getpid() == parent:
-            raise RuntimeError("stop")
+    def third_in_worker_fails(x, ends):
+        if threading.current_thread() is not threading.main_thread():
+            in_worker.append(len(x))
+            if len(in_worker) == 3:
+                raise fault
         return lines(x, ends)
 
-    monkeypatch.setattr(data_io, "_csv_lines", parent_fails)
-    with split_csv_reads() as forked, pytest.raises(RuntimeError, match="stop"):
+    monkeypatch.setattr(data_io, "_csv_lines", third_in_worker_fails)
+    monkeypatch.setattr(data_io, "_SAVE_ROWS", 100)
+    before = set(threading.enumerate())
+    with split_csv_reads() as forked, pytest.raises(RuntimeError) as raised:
         save_csv(_table(), tmp_path / "t.csv")
-    assert len(forked) == 1
-    assert_no_child_left()
-
-
-def test_split_write_in_one_process_when_fork_fails(tmp_path):
-    ds = _table()
-    want = saved_csv_bytes(ds, tmp_path / "one.csv", False)
-
-    def no_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    with split_csv_reads(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "fork", no_fork)
-        save_csv(ds, tmp_path / "two.csv")
-    assert (tmp_path / "two.csv").read_bytes() == want
-    assert_no_child_left()
-
-
-def test_split_write_only_from_the_threshold(tmp_path):
-    ds = _table(n=100)
-    with split_csv_reads() as forked:  # which restores _SPLIT_ROWS on exit
-        data_io._SPLIT_ROWS = 101
-        save_csv(ds, tmp_path / "t.csv")
-        assert not forked
-        data_io._SPLIT_ROWS = 100
-        save_csv(ds, tmp_path / "t.csv")
-    assert len(forked) == 1
-    assert data_io._SPLIT_ROWS == 8192
+    assert raised.value is fault
+    assert set(threading.enumerate()) == before
+    assert not forked
 
 
 def test_only_forked_forks():
     # one helper, data_io._forked, owns the fork, its pipe, the fork
-    # warning's filter, the fallback and the killing and reaping of the child
+    # warning's filter, the fallback and the killing and reaping of the
+    # child; _read_halves is its one caller
     modules = sorted(Path(data_io.__file__).parent.glob("*.py"))
     helper = inspect.getsource(data_io._forked)
     for token in ("os.fork", "os.pipe", "os.kill", "os.waitpid", "os._exit"):
         users = {p.name: p.read_text(encoding="utf-8").count(token) for p in modules}
         assert {k: v for k, v in users.items() if v} == {"data_io.py": helper.count(token)}, token
         assert helper.count(token)
+    callers = {p.name: p.read_text(encoding="utf-8").count("_forked(") for p in modules}
+    assert {k: v for k, v in callers.items() if v} == {"data_io.py": 2}  # def and one call
+    assert inspect.getsource(data_io._read_halves).count("_forked(") == 1
+
+
+def test_only_save_csv_uses_threads():
+    # one function, data_io.save_csv, owns the thread pool, its fallback
+    # and the joining of its threads
+    modules = sorted(Path(data_io.__file__).parent.glob("*.py"))
+    owner = inspect.getsource(data_io.save_csv)
+    for token in ("ThreadPoolExecutor", "threading", "concurrent"):
+        users = {p.name: p.read_text(encoding="utf-8").count(token) for p in modules}
+        expected = {"data_io.py": owner.count(token)} if owner.count(token) else {}
+        assert {k: v for k, v in users.items() if v} == expected, token
+    assert owner.count("ThreadPoolExecutor")
 
 
 def test_forked_children_only_write():
-    # no message goes from a parent to its child: pipe.write and os.pwrite
-    # occur only inside the two children (load_csv's and save_csv's), and
-    # a child uses its pipe only to write to it
+    # no message goes from a parent to its child: pipe.write occurs only
+    # inside the one child (load_csv's), which uses its pipe only to write to it
     assert list(inspect.signature(data_io._forked).parameters) == ["child"]
     children, writes = [], []
     for p in sorted(Path(data_io.__file__).parent.glob("*.py")):
-        tree = ast.parse(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
+        assert "pwrite" not in text, p.name
+        tree = ast.parse(text)
         found = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "child"]
         children += [p.name] * len(found)
         inside = {id(node) for f in found for node in ast.walk(f)}
         for node in ast.walk(tree):
-            call = ast.unparse(node) if isinstance(node, ast.Attribute) else None
-            if call in ("pipe.write", "os.pwrite"):
-                writes.append((call, id(node) in inside))
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "pipe.write":
+                writes.append(id(node) in inside)
         for f in found:
             uses = [node for node in ast.walk(f) if isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name) and node.value.id == "pipe"]
             assert {node.attr for node in uses} <= {"write", "flush"}
-    assert children == ["data_io.py", "data_io.py"]
-    assert {call for call, _ in writes} == {"pipe.write", "os.pwrite"}
-    assert all(inside for _, inside in writes), writes
+    assert children == ["data_io.py"]
+    assert writes and all(writes), writes
 
 
 def test_synth_csv_bytes_pinned(tmp_path):

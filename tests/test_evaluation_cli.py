@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dictad
-from dictad import (ConfigError, ConfusionReport, DataError, Dataset, confusion, data_io,
+from dictad import (ConfigError, ConfusionReport, DataError, Dataset, confusion,
                     run_experiment)
 from dictad.anomaly import ADDLConfig, addl_run
 from dictad.cli import main
@@ -652,7 +652,11 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
      "data error: pretraining split does not contain both classes"),
     ("popularity", "a,b\n1,2\n3,4\n", 2,
      "config error: n_anomalies is required when the dataset has no labels"),
-], ids=["toddler-nothing-to-stream", "toddler-one-class", "popularity-no-labels"])
+    ("popularity", "a,Class\n1,0\n2,0\n3,0\n", 3,
+     "data error: the dataset labels no sample as an anomaly; "
+     "--n-anomalies sets the anomaly count"),
+], ids=["toddler-nothing-to-stream", "toddler-one-class", "popularity-no-labels",
+        "popularity-no-labelled-anomaly"])
 def test_cli_runner_errors(tmp_path, capsys, verb, csv_text, code, message):
     data = tmp_path / "data.csv"
     data.write_text(csv_text)
@@ -661,6 +665,15 @@ def test_cli_runner_errors(tmp_path, capsys, verb, csv_text, code, message):
         argv += ["--label-column", "Class"]
     assert main(argv) == code
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("preds, held", [("0\n1\n", 2), ("0\n1\n0\n1\n", 4), ("", 0)],
+                         ids=["short", "long", "empty"])
+def test_cli_eval_names_the_predictions_count(tmp_path, capsys, preds, held):
+    (tmp_path / "data.csv").write_text("a,Class\n1,0\n2,1\n3,0\n")
+    (tmp_path / "preds.txt").write_text(preds)
+    assert _eval_stderr(tmp_path, capsys, "generic") == (
+        3, f"data error: {tmp_path / 'preds.txt'} holds {held} predictions for 3 dataset rows\n")
 
 
 @pytest.mark.parametrize("verb, flags, code, message", [
@@ -756,7 +769,7 @@ def test_cli_eval_subsample_ratio_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("blocked", ["directory", "full-device"])
 def test_cli_synth_unwritable_dataset_same_line_in_two_processes(tmp_path, capsys, blocked):
     # a dataset.csv that cannot be opened, or whose writes fail with ENOSPC
-    # (/dev/full): the split write reports the one-process line
+    # (/dev/full): the write on two threads reports the one-thread line
     if blocked == "full-device" and not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
     errs = []
@@ -767,11 +780,10 @@ def test_cli_synth_unwritable_dataset_same_line_in_two_processes(tmp_path, capsy
             (out / "dataset.csv").mkdir()
         else:
             (out / "dataset.csv").symlink_to("/dev/full")
-        with split_csv_reads() as forked:  # which restores _SPLIT_ROWS on exit
+        with split_csv_reads(), pytest.MonkeyPatch.context() as mp:
             if not split:
-                data_io._SPLIT_ROWS = math.inf
+                mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             assert main(_synth_flags(out)) == 2
-        assert len(forked) == (split and blocked == "full-device")
         assert_no_child_left()
         errs.append(capsys.readouterr().err.replace(str(out), "<out>"))
     assert errs[0] == errs[1]
