@@ -23,7 +23,8 @@ from .errors import DataError
 
 ULB_FEATURES = [f"V{i}" for i in range(1, 29)] + ["Amount"]
 _SIGNS = np.array([-1.0, 1.0])
-# synth_generate draws and multiplies in blocks of about this many elements
+# synth_generate draws and multiplies, and normalize sums squared deviations,
+# in blocks of about this many elements
 _BLOCK_ELEMENTS = 2**20
 # synth_generate replays Generator.choice's Floyd sampling, which numpy uses
 # up to 10,000 atoms (above that, for s > atoms // 50, a partial shuffle)
@@ -303,7 +304,8 @@ def _read_csv(f, path, schema: str, label_column: str | None) -> Dataset:
     X, label = halves
     if label is not None and not np.isin(label, (0, 1)).all():
         _raise_row_error(path, header, lidx, "rows do not match the header")
-    # X is C-ordered N x m, so Y is m x N with strides (8, 8m): normalize's sums follow that layout
+    # X is C-ordered N x m, so Y is m x N with strides (8, 8m): normalize's
+    # sums follow that layout, one column after the other
     Y = X.T
     if not np.all(np.isfinite(Y)):
         j, i = np.argwhere(~np.isfinite(Y))[0]
@@ -487,35 +489,71 @@ def save_csv(dataset: Dataset, path):
             f.write(next(odd, b""))
 
 
-def normalize(dataset: Dataset) -> Dataset:
+def _std(Y, mu):
+    """Y.std(axis=1, ddof=1, keepdims=True) for the row means mu, bit for
+    bit, with no temporary as large as Y: the squared deviations are summed
+    in numpy's order for Y's layout. Along the rows of a Y whose rows are
+    its fast axis (C order, or one row), that is pairwise, one row at a
+    time. Across the columns of an F-ordered Y it is one column after the
+    other, in blocks of columns that carry the running sum as their first
+    column."""
+    m, n = Y.shape
+    if m > 1 and Y.strides[0] < Y.strides[1]:
+        step = max(1, _BLOCK_ELEMENTS // m)
+        buf = np.zeros((m, 1 + min(step, n)), order="F")
+        for j in range(0, n, step):
+            block = buf[:, :1 + min(step, n - j)]
+            np.subtract(Y[:, j:j + step], mu, out=block[:, 1:])
+            np.multiply(block[:, 1:], block[:, 1:], out=block[:, 1:])
+            buf[:, 0] = np.add.reduce(block, axis=1)
+        ss = buf[:, :1]
+    else:
+        row = np.empty(n)
+        ss = np.empty((m, 1))
+        for i in range(m):
+            np.subtract(Y[i], mu[i], out=row)
+            np.multiply(row, row, out=row)
+            ss[i] = np.add.reduce(row)
+    return np.sqrt(ss / (n - 1))
+
+
+def normalize(dataset: Dataset, *, copy: bool = True) -> Dataset:
     """Feature-wise z-scoring: mean 0, sample standard deviation 1
-    (N-1 divisor). Constant features map to zeros with a warning. A feature
-    whose standard deviation is not finite (its sum or variance overflows)
-    is z-scored from its values divided by its largest |value|, which gives
-    the same z-scores without the overflow; a non-finite value in it raises
-    DataError."""
+    (N-1 divisor), with the bits of (Y - Y.mean(axis=1)) / Y.std(axis=1,
+    ddof=1) for any layout of Y. Constant features map to zeros with a
+    warning. A feature whose standard deviation is not finite (its sum or
+    variance overflows) is z-scored from its values divided by its largest
+    |value|, which gives the same z-scores without the overflow; a
+    non-finite value in it raises DataError.
+
+    With copy (the default) dataset.Y is left as it is and a copy in its
+    own layout (order "K") is z-scored. With copy=False, for a caller that
+    owns the table, dataset.Y is z-scored in place and becomes the returned
+    Y; an error is raised before any value changes. Apart from the rows of
+    overflowing features, no temporary as large as Y is made (see _std)."""
     if dataset.n_samples < 2:
         raise DataError("normalization needs at least 2 samples")
+    Y = dataset.Y.astype(float, order="K") if copy else dataset.Y
     with np.errstate(over="ignore", invalid="ignore"):
         mu = dataset.Y.mean(axis=1, keepdims=True)
-        sigma = dataset.Y.std(axis=1, ddof=1, keepdims=True)
+        sigma = _std(Y, mu)
     huge = np.flatnonzero(~np.isfinite(sigma.ravel()))
     if huge.size:
-        scaled = dataset.Y[huge]
+        scaled = Y[huge]
         bad = huge[~np.isfinite(scaled).all(axis=1)]
         if bad.size:
             raise DataError("non-finite values in features "
                             f"{[dataset.feature_names[i] for i in bad]}")
         scaled /= np.abs(scaled).max(axis=1, keepdims=True)
         mu[huge] = scaled.mean(axis=1, keepdims=True)
-        sigma[huge] = scaled.std(axis=1, ddof=1, keepdims=True)
+        sigma[huge] = _std(scaled, mu[huge])
     flat = np.flatnonzero(sigma.ravel() == 0.0)
     if flat.size:
         warnings.warn(
             f"constant features mapped to zero: {[dataset.feature_names[i] for i in flat]}"
         )
         sigma[flat] = 1.0
-    Y = dataset.Y - mu
+    Y -= mu
     if huge.size:
         Y[huge] = scaled - mu[huge]
     Y /= sigma

@@ -154,8 +154,8 @@ def _load_dataset(params: dict) -> Dataset:
     else:
         ds = load_csv(params["dataset"], schema=params["schema"],
                       label_column=params["label_column"])
-    if params["normalize"]:
-        ds = normalize(ds)
+    if params["normalize"]:  # the table was just made here, so it is z-scored in place
+        ds = normalize(ds, copy=False)
     if params.get("subsample_ratio", 0) > 0:  # eval has no such row: predictions follow the rows
         ds = subsample(ds, params["subsample_ratio"], params["seed"])
     return ds

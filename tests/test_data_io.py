@@ -2,6 +2,7 @@ import ast
 import errno
 import hashlib
 import inspect
+import math
 import os
 import re
 import threading
@@ -126,6 +127,55 @@ def test_normalize_constant_feature_warns_and_zeroes():
         out = normalize(ds)
     assert np.all(out.Y[0] == 0)
     assert np.isclose(out.Y[1].std(ddof=1), 1.0)
+
+
+def _layouts(Y):
+    """Y (m x N) as C-, F-ordered, sliced and fancy-indexed arrays."""
+    m, n = Y.shape
+    wide = np.asfortranarray(np.zeros((m + 2, 2 * n)))
+    wide[1:m + 1, ::2] = Y
+    return {"C": np.ascontiguousarray(Y), "F": np.asfortranarray(Y),
+            "sliced": wide[1:m + 1, ::2], "fancy": np.asfortranarray(Y)[np.arange(m)]}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "sliced", "fancy"])
+def test_normalize_leaves_its_input_unchanged_and_in_place_matches(layout):
+    # a +-1e200 feature (its variance overflows) and a constant one beside
+    # ordinary features: the copy leaves every input byte as it was, and the
+    # in-place z-scoring gives the copy's bytes in the input's own array
+    rng = np.random.default_rng(5)
+    Y = np.vstack([rng.standard_normal((3, 50)) * 4 + 1, np.tile([1e200, -1e200], 25),
+                   np.full(50, 7.0)])
+    Y = _layouts(Y)[layout]
+    names = [f"f{i}" for i in range(len(Y))]
+    before = Y.tobytes()
+    with pytest.warns(UserWarning, match="constant features mapped to zero: \\['f4'\\]"):
+        out = normalize(Dataset(Y, None, names))
+    assert Y.tobytes() == before and out.Y is not Y
+    with pytest.warns(UserWarning, match="f4"):
+        same = normalize(Dataset(Y, None, names), copy=False)
+    assert same.Y is Y and Y.tobytes() == out.Y.tobytes()
+    assert np.array_equal(out.Y[3], np.tile([1.0, -1.0], 25) / math.sqrt(50 / 49))
+
+
+def test_normalize_refusal_leaves_the_table_unchanged():
+    # copy=False checks every feature before it writes a value
+    Y = np.array([[1.0, 2.0, 3.0], [1e300, -1e300, np.inf]])
+    before = Y.tobytes()
+    with pytest.raises(DataError, match=r"^non-finite values in features \['b'\]$"):
+        normalize(Dataset(Y, None, ["a", "b"]), copy=False)
+    assert Y.tobytes() == before
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_normalize_keeps_numpys_bits_across_full_size_blocks(order):
+    # the credit-card width over three of _std's column blocks and a part
+    m = 29
+    n = 3 * (data_io._BLOCK_ELEMENTS // m) + 7
+    Y = np.asarray(np.random.default_rng(9).standard_normal((m, n)) * 3 + 2, order=order)
+    expected = (Y - Y.mean(axis=1, keepdims=True)) / Y.std(axis=1, ddof=1, keepdims=True)
+    assert normalize(Dataset(Y, None, [f"f{i}" for i in range(m)])).Y.tobytes() == \
+        expected.tobytes()
 
 
 def test_subsample_counts_and_anomaly_retention():

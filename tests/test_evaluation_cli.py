@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import dictad
-from dictad import (ConfigError, ConfusionReport, DataError, Dataset, confusion,
-                    run_experiment)
+from dictad import (ConfigError, ConfusionReport, DataError, Dataset, SynthConfig, confusion,
+                    experiments, run_experiment, synth_generate)
 from dictad.anomaly import ADDLConfig, addl_run
 from dictad.cli import main
 from dictad.data_io import ULB_FEATURES, load_csv, normalize, subsample
@@ -262,6 +262,46 @@ def test_result_json_is_the_returned_record(tmp_path, verb, extra):
     assert set(result) == {"method", "config", "seed", "metrics", "wall_time_s"}
     assert result["method"] == verb
     assert json.loads((tmp_path / "out" / "result.json").read_text()) == result
+
+
+@pytest.mark.parametrize("verb, source", [
+    ("eval", "csv"), ("addl", "csv"), ("popularity", "csv"), ("pretrain", "csv"),
+    ("toddler", "csv"), ("toddler", "synth"),
+])
+def test_normalize_verbs_z_score_their_table_once_in_place(tmp_path, monkeypatch, verb, source):
+    # the bench traces normalize through experiments' binding. The driver
+    # z-scores the table it just read (F-ordered) or generated (C-ordered)
+    # in place, with the bytes that the library's copying call gives
+    data_dir = tmp_path / "data"
+    assert main(_synth_flags(data_dir)) == 0
+    data = data_dir / "dataset.csv"
+    synth = {"n_normal": 40, "n_anomaly": 8, "m": 12, "normal_atoms": 4, "anomaly_atoms": 3,
+             "s_gen": 2, "noise_sigma": 0.01, "seed": 21}
+    preds = tmp_path / "preds.txt"
+    preds.write_text("0\n" * 48)
+    seen = []
+
+    def spy(ds, **kwargs):
+        layout = "F" if ds.Y.strides[0] < ds.Y.strides[1] else "C"
+        out = normalize(ds, **kwargs)
+        seen.append((kwargs, out.Y is ds.Y, layout, out.Y.tobytes()))
+        return out
+
+    monkeypatch.setattr(experiments, "normalize", spy)
+    params = {"normalize": True, "predictions": str(preds), "sparsity": 2, "stage_atoms": 4,
+              "dl_iterations": 2, "atoms_per_class": 4, "pretrain_fraction": 0.5,
+              "global_iterations": 2, "max_iterations": 3}
+    if source == "synth":
+        params["synth"] = synth
+        expected = normalize(synth_generate(SynthConfig(**synth))).Y
+    else:
+        params.update(dataset=str(data), schema="generic", label_column="Class")
+        expected = normalize(load_csv(data, schema="generic", label_column="Class")).Y
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(params))
+    assert main([verb, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert seen == [({"copy": False}, True, "F" if source == "csv" else "C",
+                     expected.tobytes())]
 
 
 _DATA_KEYS = {"seed", "dataset", "schema", "label_column", "normalize"}

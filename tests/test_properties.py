@@ -7,7 +7,8 @@ against a Sherman-Morrison inverse; the AK-SVD objective trace, and
 train's bytes against its loop that formed every residual anew; CSV
 reading and writing against per-value oracles;
 the block-drawn synthetic generator against its per-sample draws; library
-calls leave their input arrays unchanged, C- or Fortran-ordered."""
+calls leave their input arrays unchanged, C- or Fortran-ordered; normalize's
+blockwise z-scores against numpy's whole-array ones, in four layouts."""
 
 import copy
 import csv
@@ -15,6 +16,7 @@ import dataclasses
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -974,3 +976,66 @@ def test_library_calls_leave_inputs_unchanged(s, extra_atoms, extra_rows, seed):
         assert len(after) == len(before)
         for a, b in zip(after, before):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), fn.__name__
+
+
+def _whole_array_normalize(Y):
+    """normalize's z-scores as numpy's whole-array mean and std give them,
+    with normalize's rescue of overflowing features and its zeroed constant
+    ones: (Y - Y.mean(axis=1)) / Y.std(axis=1, ddof=1), two N x m
+    temporaries and all."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = Y.mean(axis=1, keepdims=True)
+        sigma = Y.std(axis=1, ddof=1, keepdims=True)
+    huge = np.flatnonzero(~np.isfinite(sigma.ravel()))
+    scaled = Y[huge]
+    scaled /= np.abs(scaled).max(axis=1, keepdims=True)
+    mu[huge] = scaled.mean(axis=1, keepdims=True)
+    sigma[huge] = scaled.std(axis=1, ddof=1, keepdims=True)
+    flat = sigma.ravel() == 0.0
+    sigma[flat] = 1.0
+    Z = Y - mu
+    Z[huge] = scaled - mu[huge]
+    Z /= sigma
+    Z[flat] = 0.0
+    return Z
+
+
+@st.composite
+def normalize_tables(draw):
+    """A table of m in 1..40 features whose scales reach 1e150 (so some
+    variances overflow), sometimes with a constant feature, in one of four
+    layouts, with a column block of `step` columns and N from 2 to past
+    three such blocks."""
+    m, step = draw(st.integers(1, 40)), draw(st.integers(1, 100))
+    n = draw(st.integers(2, 3 * step + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = rng.standard_normal((m, n)) + rng.standard_normal((m, 1))
+    Y *= 10.0 ** rng.uniform(-3, 150, (m, 1))
+    if draw(st.booleans()):
+        Y[rng.integers(m)] = rng.standard_normal()
+    layout = draw(st.sampled_from(["C", "F", "sliced", "fancy"]))
+    if layout == "sliced":  # every other column of rows 1..m of a wider F-ordered table
+        wide = np.zeros((m + 2, 2 * n), order="F")
+        wide[1:m + 1, ::2] = Y
+        Y = wide[1:m + 1, ::2]
+    elif layout == "fancy":  # rows picked from an F-ordered table, as subsample picks columns
+        Y = np.asfortranarray(Y)[np.argsort(rng.permutation(m))]
+    else:
+        Y = np.asarray(Y, order=layout)
+    return Y, step
+
+
+@SETTINGS
+@given(normalize_tables())
+def test_normalize_has_the_bits_of_numpys_whole_array_z_scores(table):
+    # _std's column blocks shrunk to `step` columns, so their edges are crossed
+    Y, step = table
+    names = [f"f{i}" for i in range(len(Y))]
+    expected = _whole_array_normalize(Y)
+    before = Y.tobytes()
+    with mock.patch.object(data_io, "_BLOCK_ELEMENTS", step * len(Y)), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a constant feature
+        assert normalize(Dataset(Y, None, names)).Y.tobytes() == expected.tobytes()
+        assert Y.tobytes() == before
+        assert normalize(Dataset(Y, None, names), copy=False).Y.tobytes() == expected.tobytes()
