@@ -57,6 +57,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """synth_generate's parameters, refused with DataError unless it can draw
+    them; with disjoint_support, m must leave room to orthogonalize the
+    anomaly atoms against the normal ones (m >= normal + anomaly atoms)."""
+
     n_normal: int
     n_anomaly: int
     m: int
@@ -79,6 +83,9 @@ class SynthConfig:
             raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.n_anomaly > self.n_normal:
             raise DataError("n_anomaly must not exceed n_normal")
+        if self.disjoint_support and self.m < self.normal_atoms + self.anomaly_atoms:
+            raise DataError(f"m={self.m} too small to orthogonalize "
+                            f"{self.normal_atoms}+{self.anomaly_atoms} atoms")
 
 
 def _parse_cell(text, row, col):
@@ -131,74 +138,25 @@ def _cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-@contextlib.contextmanager
-def _forked(child):
-    """Run child(pipe) in a forked process while the block runs in this one.
-    The child only writes, to pipe, the write end of a new pipe; this
-    process sends it nothing. Yields (pipe, finished), pipe being this
-    process's read end as a binary file: finished() closes it, waits for the
-    child and tells whether child returned (an exception exits the child
-    with status 1). Yields None when fork fails (e.g. at the process limit).
-    A child not waited for when the block ends is killed and reaped."""
-    r, w = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns that a child forked from a process with other
-        # threads (OpenBLAS's idle workers) may deadlock on a lock one of
-        # them held. The child here takes no such lock: it parses numbers,
-        # writes to its pipe and leaves through os._exit.
-        warnings.filterwarnings("ignore", "This process .*multi-threaded", DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:
-            pid = None
-    if pid is None:
-        os.close(r)
-        os.close(w)
-        yield None
-        return
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                child(pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    pipe = open(r, "rb")
-    status = None
-
-    def finished():
-        nonlocal status
-        pipe.close()
-        status = os.waitpid(pid, 0)[1]
-        return os.waitstatus_to_exitcode(status) == 0
-
-    try:
-        yield pipe, finished
-    finally:
-        if status is None:  # the child may still be running, or blocked on a full pipe
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        pipe.close()
-
-
 def _read_halves(path, width, fidx, lidx):
     """The feature columns fidx (an N x m C-ordered array) and the label
     column lidx (None when lidx is) of the CSV body at path, whose rows must
-    be width wide, parsed in two processes: a forked child parses the lines
-    after the first '\\n' past the body's middle and sends back its columns
-    as float64 bytes over a pipe, while this process parses the lines before
-    it and copies its columns into the array's first rows. A number holds no
-    '"', so in a half that parses each '"' opens or closes a quoted cell:
-    with an even number of them before it, the split is a line end outside
-    any quoted field, and the rows are those of one parse of the whole body.
+    be width wide, parsed in two processes: a forked child, child(pipe),
+    parses the lines after the first '\\n' past the body's middle and only
+    writes, to a pipe: its shape as two int64, then the selected columns and
+    the label as float64. This process parses the lines before it and
+    copies its columns into the array's first rows. A number holds no '"',
+    so in a half that parses each '"' opens or closes a quoted cell: with an
+    even number of them before it, the split is a line end outside any
+    quoted field, and the rows are those of one parse of the whole body.
     None, for the caller to parse the body in one process (and so raise its
     usual errors), when the file is under _SPLIT_BYTES, fewer than 2 CPUs
     are available, the header line holds a lone CR, the number of '"' before
-    the split is odd, either half fails or is not width wide, or neither
-    holds a row. The caller has checked that the header is one line."""
+    the split is odd, the fork fails, either half fails or is not width
+    wide, neither holds a row, or the child sends fewer bytes than its shape
+    promises. A child still running when this function returns early or
+    raises is killed and reaped. The caller has checked that the header is
+    one line."""
     size = os.path.getsize(path)
     if size < _SPLIT_BYTES or _cpus() < 2:
         return None
@@ -223,31 +181,58 @@ def _read_halves(path, width, fidx, lidx):
             if lidx is not None:
                 pipe.write(np.ascontiguousarray(rows[:, lidx]))
 
-    with _forked(child) as fork:
-        if fork is None:
-            return None
-        pipe, finished = fork
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns that a child forked from a process with other
+        # threads (OpenBLAS's idle workers) may deadlock on a lock one of
+        # them held. The child here takes no such lock: it parses numbers,
+        # writes to its pipe and leaves through os._exit.
+        warnings.filterwarnings("ignore", "This process .*multi-threaded", DeprecationWarning)
         try:
-            top = _parse_rows(_lines(io.BytesIO(first)))
-            del first
-            n, got = np.frombuffer(pipe.read(16), dtype=np.int64)
-        except ValueError:  # the first half does not parse, or the child sent no shape
+            pid = os.fork()
+        except OSError:  # e.g. at the process limit
+            os.close(r)
+            os.close(w)
             return None
-        if top.shape[1] != width or got != width or len(top) + n == 0:
-            return None  # the child's rows are not needed
-        X = np.empty((len(top) + n, len(fidx)))
-        # fidx is in range: mode="clip" skips the buffered copy that "raise" makes
-        np.take(top, fidx, axis=1, out=X[:len(top)], mode="clip")
-        tails = [X[len(top):]]
-        label = None
-        if lidx is not None:
-            label = np.empty(len(X))
-            label[:len(top)] = top[:, lidx]
-            tails.append(label[len(top):])
-        del top
-        if any(pipe.readinto(t) != t.nbytes for t in tails) or not finished():
-            return None
-    return X, label
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                child(pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    status = None
+    try:
+        with open(r, "rb") as pipe:
+            try:
+                top = _parse_rows(_lines(io.BytesIO(first)))
+                del first
+                n, got = np.frombuffer(pipe.read(16), dtype=np.int64)
+            except ValueError:  # the first half does not parse, or the child sent no shape
+                return None
+            if top.shape[1] != width or got != width or len(top) + n == 0:
+                return None  # the child's rows are not needed
+            X = np.empty((len(top) + n, len(fidx)))
+            # fidx is in range: mode="clip" skips the buffered copy that "raise" makes
+            np.take(top, fidx, axis=1, out=X[:len(top)], mode="clip")
+            tails = [X[len(top):]]
+            label = None
+            if lidx is not None:
+                label = np.empty(len(X))
+                label[:len(top)] = top[:, lidx]
+                tails.append(label[len(top):])
+            del top
+            if any(pipe.readinto(t) != t.nbytes for t in tails):
+                return None
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:  # returned early or raised: the child may still be running
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return (X, label) if os.waitstatus_to_exitcode(status) == 0 else None
 
 
 def load_csv(path, schema: str = "ulb", label_column: str | None = None) -> Dataset:
@@ -465,23 +450,26 @@ def save_csv(dataset: Dataset, path):
     values that '%.17g' writes in exponent notation, and non-finite ones.
 
     This thread formats every other block and writes all of them in order.
-    With 2 or more CPUs a worker thread formats the blocks in between, as
-    numpy releases the GIL in most of that work; with one CPU, or when no
-    thread can start, this thread formats them too."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    With a second block and 2 or more CPUs a worker thread formats the
+    blocks in between, as numpy releases the GIL in most of that work; with
+    one CPU, or when no thread can start, this thread formats them too.
+    concurrent.futures, which imports logging, is imported only when the
+    worker is wanted."""
     header = list(dataset.feature_names) + (["Class"] if dataset.labels is not None else [])
     text = io.StringIO()
     csv.writer(text).writerow(header)
     block = partial(_csv_block, dataset)
     starts = range(0, dataset.n_samples, _SAVE_ROWS)
-    # one worker, not two: a thread's malloc arena keeps the peak of the
-    # blocks it formats (~6 MB at 29 features), where this thread's arena
-    # reuses what the process freed before
-    with open(path, "wb") as f, ThreadPoolExecutor(1) as pool:
+    with open(path, "wb") as f, contextlib.ExitStack() as stack:
         f.write(text.getvalue().encode())
         odd = map(block, starts[1::2])
-        if _cpus() > 1:
+        if len(starts) > 1 and _cpus() > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            # one worker, not two: a thread's malloc arena keeps the peak of
+            # the blocks it formats (~6 MB at 29 features), where this
+            # thread's arena reuses what the process freed before
+            pool = stack.enter_context(ThreadPoolExecutor(1))
             with contextlib.suppress(RuntimeError):  # a thread cannot start, e.g. at the limit
                 odd = pool.map(block, starts[1::2])
         for start in starts[::2]:
@@ -589,13 +577,10 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     """Planted-dictionary generator: normals are sparse combinations of a
     seeded unit-atom dictionary plus Gaussian noise; anomalies come from a
     second dictionary, orthogonalized against the first when
-    disjoint_support is set. Generative parameters land in provenance for
-    test oracles."""
+    disjoint_support is set (SynthConfig has checked that m leaves room for
+    both). Generative parameters land in provenance for test oracles.
+    DataError names noise_sigma when the noise makes a sample overflow."""
     rng = np.random.default_rng(cfg.seed)
-    if cfg.disjoint_support and cfg.m < cfg.normal_atoms + cfg.anomaly_atoms:
-        raise DataError(
-            f"m={cfg.m} too small to orthogonalize {cfg.normal_atoms}+{cfg.anomaly_atoms} atoms"
-        )
     Dn = rng.standard_normal((cfg.m, cfg.normal_atoms))
     Dn /= np.linalg.norm(Dn, axis=0)
     Da = rng.standard_normal((cfg.m, cfg.anomaly_atoms))
@@ -655,7 +640,10 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
         for c in range(0, count, step):
             items = D.T[sup[c:c + step]].transpose(0, 2, 1)
             Y[:, c:c + step] = (items @ vals[c:c + step, :, None])[:, :, 0].T
-        Y += cfg.noise_sigma * rng.standard_normal(Y.shape)
+        with np.errstate(over="ignore"):
+            Y += cfg.noise_sigma * rng.standard_normal(Y.shape)
+        if not np.isfinite(Y).all():
+            raise DataError(f"noise_sigma={cfg.noise_sigma!r} makes samples overflow")
         return Y, codes
 
     Yn, Cn = draw(Dn, cfg.n_normal)

@@ -5,6 +5,8 @@ import inspect
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -272,6 +274,12 @@ def test_synth_rejects_tight_dimension():
         synth_generate(SynthConfig(10, 2, 4, 3, 2, 2, 0.0, True, 12))
 
 
+def test_synth_refuses_noise_that_overflows():
+    cfg = SynthConfig(20, 2, 4, 2, 1, 1, 1e308)
+    with pytest.raises(DataError, match=r"^noise_sigma=1e\+308 makes samples overflow$"):
+        synth_generate(cfg)
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"n_anomaly": -1}, "n_anomaly must be >= 0"),
     ({"noise_sigma": -0.1}, "noise_sigma must be finite and >= 0"),
@@ -281,9 +289,10 @@ def test_synth_rejects_tight_dimension():
     ({"anomaly_atoms": 10_001, "disjoint_support": False}, "at most 10000 atoms"),
     *[({k: 0}, "all synthetic counts must be >= 1")
       for k in ("n_normal", "m", "normal_atoms", "anomaly_atoms", "s_gen")],
+    ({"m": 4}, r"^m=4 too small to orthogonalize 3\+2 atoms$"),
 ], ids=["negative-n-anomaly", "negative-noise", "nan-noise", "inf-noise",
         "normal-atoms-above-limit", "anomaly-atoms-above-limit", "no-normals", "no-features",
-        "no-normal-atoms", "no-anomaly-atoms", "no-atoms-per-signal"])
+        "no-normal-atoms", "no-anomaly-atoms", "no-atoms-per-signal", "m-below-disjoint-atoms"])
 def test_synth_config_rejects(fields, message):
     base = dict(n_normal=10, n_anomaly=2, m=6, normal_atoms=3, anomaly_atoms=2, s_gen=2,
                 noise_sigma=0.1)
@@ -523,6 +532,31 @@ def test_split_read_falls_back_when_the_child_exits_nonzero(tmp_path, monkeypatc
     assert_no_child_left()
 
 
+class _TakeDropsLastRow(np.ndarray):
+    def take(self, *args, **kwargs):
+        return np.asarray(super().take(*args, **kwargs))[:-1]
+
+
+def test_split_read_falls_back_when_the_child_sends_a_row_short(tmp_path, monkeypatch):
+    # the child sends its shape, then its feature block one row short, as
+    # when it dies mid-send: this process must not keep what it read
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,y\n" + _rows(30, 34))
+    one = load_csv(p, schema="generic", label_column="y")
+    parent, parse = os.getpid(), data_io._parse_rows
+
+    def short_in_child(text):
+        rows = parse(text)
+        return rows if os.getpid() == parent else rows.view(_TakeDropsLastRow)
+
+    monkeypatch.setattr(data_io, "_parse_rows", short_in_child)
+    with split_csv_reads() as forked:
+        two = load_csv(p, schema="generic", label_column="y")
+    assert_same_load(one, two)
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
 def test_split_read_in_one_process_when_fork_fails(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a,b,y\n" + _rows(30, 33))
@@ -555,6 +589,33 @@ def test_split_read_only_from_the_threshold(tmp_path):
 def _table(n=3_000, seed=32):
     rng = np.random.default_rng(seed)
     return Dataset(rng.standard_normal((4, n)), rng.integers(0, 2, n), ["a", "b", "c", "d"])
+
+
+_SAVE_AND_LIST_IMPORTS = """
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
+import numpy as np
+from dictad import Dataset, save_csv
+assert "concurrent.futures" not in sys.modules
+n = int(sys.argv[1])
+save_csv(Dataset(np.ones((3, n)), np.zeros(n, dtype=int), ["a", "b", "c"]), sys.argv[3])
+print("concurrent.futures" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("rows, cpus, imported", [
+    (1, 2, False), (data_io._SAVE_ROWS, 2, False), (data_io._SAVE_ROWS + 1, 2, True),
+    (3 * data_io._SAVE_ROWS, 2, True), (3 * data_io._SAVE_ROWS, 1, False),
+])
+def test_save_csv_imports_the_thread_pool_only_for_its_worker(tmp_path, rows, cpus, imported):
+    # concurrent.futures imports logging: a write of one block, or on one
+    # CPU, has no worker and need not pay for them
+    env = {**os.environ, "PYTHONPATH": str(Path(data_io.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SAVE_AND_LIST_IMPORTS, str(rows), str(cpus),
+                           str(tmp_path / "t.csv")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{imported}\n"
+    assert (tmp_path / "t.csv").read_bytes().count(b"\n") == rows + 1
 
 
 def test_save_csv_formats_in_this_thread_when_no_thread_starts(tmp_path, monkeypatch):
@@ -598,19 +659,19 @@ def test_save_csv_raises_a_worker_fault_and_leaves_no_thread(tmp_path, monkeypat
     assert not forked
 
 
-def test_only_forked_forks():
-    # one helper, data_io._forked, owns the fork, its pipe, the fork
+def test_only_read_halves_forks():
+    # one function, data_io._read_halves, owns the fork, its pipe, the fork
     # warning's filter, the fallback and the killing and reaping of the
-    # child; _read_halves is its one caller
+    # child; _read_csv is its one caller
     modules = sorted(Path(data_io.__file__).parent.glob("*.py"))
-    helper = inspect.getsource(data_io._forked)
+    owner = inspect.getsource(data_io._read_halves)
     for token in ("os.fork", "os.pipe", "os.kill", "os.waitpid", "os._exit"):
         users = {p.name: p.read_text(encoding="utf-8").count(token) for p in modules}
-        assert {k: v for k, v in users.items() if v} == {"data_io.py": helper.count(token)}, token
-        assert helper.count(token)
-    callers = {p.name: p.read_text(encoding="utf-8").count("_forked(") for p in modules}
+        assert {k: v for k, v in users.items() if v} == {"data_io.py": owner.count(token)}, token
+        assert owner.count(token)
+    callers = {p.name: p.read_text(encoding="utf-8").count("_read_halves(") for p in modules}
     assert {k: v for k, v in callers.items() if v} == {"data_io.py": 2}  # def and one call
-    assert inspect.getsource(data_io._read_halves).count("_forked(") == 1
+    assert inspect.getsource(data_io._read_csv).count("_read_halves(") == 1
 
 
 def test_only_save_csv_uses_threads():
@@ -627,8 +688,17 @@ def test_only_save_csv_uses_threads():
 
 def test_forked_children_only_write():
     # no message goes from a parent to its child: pipe.write occurs only
-    # inside the one child (load_csv's), which uses its pipe only to write to it
-    assert list(inspect.signature(data_io._forked).parameters) == ["child"]
+    # inside the one child (load_csv's, nested in _read_halves), which uses
+    # its pipe only to write to it
+    owner = ast.parse(inspect.getsource(data_io._read_halves)).body[0]
+    nested = [f for f in ast.walk(owner) if isinstance(f, ast.FunctionDef) and f is not owner]
+    assert [(f.name, [a.arg for a in f.args.args]) for f in nested] == [("child", ["pipe"])]
+    # the forked process closes the read end, opens the write end to write
+    # and leaves through os._exit
+    branch, = [n for n in ast.walk(owner)
+               if isinstance(n, ast.If) and ast.unparse(n.test) == "pid == 0"]
+    calls = sorted(ast.unparse(n) for n in ast.walk(branch) if isinstance(n, ast.Call))
+    assert calls == ["child(pipe)", "open(w, 'wb')", "os._exit(code)", "os.close(r)"]
     children, writes = [], []
     for p in sorted(Path(data_io.__file__).parent.glob("*.py")):
         text = p.read_text(encoding="utf-8")

@@ -659,6 +659,11 @@ _SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
     # --normalize) and --pretrain --pretrain-fraction
     ("synth", None, _SYNTH_ARGS + ["--noise-sigma", "0.01", "--normal", "4"]),
     ("toddler", None, ["--pretrain", "0.2"]),
+    # m=4 cannot hold 3 normal and 2 anomaly atoms orthogonal to each other
+    ("synth", None, ["--n-normal", "10", "--n-anomaly", "5", "--features", "4",
+                     "--normal-atoms", "3", "--anomaly-atoms", "2", "--s-gen", "2",
+                     "--noise-sigma", "0.1"]),
+    ("addl", {"synth": {**_SYNTH_SECTION, "m": 4, "normal_atoms": 3, "anomaly_atoms": 2}}, []),
 ], ids=["string-int", "misspelled-key", "string-bool", "fractional-int", "bool-int",
         "nan-float", "non-object", "synth-missing-field", "synth-unknown-field",
         "synth-unknown-field-addl", "more-anomalies-than-normals", "sparsity-0",
@@ -668,7 +673,8 @@ _SYNTH_ARGS = ["--n-normal", "40", "--n-anomaly", "8", "--features", "12",
         "flag-not-an-int", "flag-not-a-choice", "model-norms-zero-alpha",
         "model-norms-zero-beta", "synth-atoms-above-limit", "synth-object-atoms-above-limit",
         "pretrain-atoms-below-sparsity", "toddler-atoms-below-sparsity",
-        "flag-of-another-verb", "abbreviated-flag-synth", "abbreviated-flag-toddler"])
+        "flag-of-another-verb", "abbreviated-flag-synth", "abbreviated-flag-toddler",
+        "synth-m-below-disjoint-atoms", "synth-object-m-below-disjoint-atoms"])
 def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
     argv = [verb, "--out", str(tmp_path / "o")]
     if verb != "synth":  # the one verb that reads no dataset and has no --dataset flag
@@ -683,6 +689,15 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, verb, config, flags):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_synth_noise_overflow_exit_3(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--n-normal", "20", "--n-anomaly", "2",
+                 "--features", "4", "--normal-atoms", "2", "--anomaly-atoms", "1",
+                 "--s-gen", "1", "--noise-sigma", "1e308"]) == 3
+    assert capsys.readouterr().err == "data error: noise_sigma=1e+308 makes samples overflow\n"
+    assert not (out / "dataset.csv").exists()
 
 
 @pytest.mark.parametrize("verb, csv_text, code, message", [
