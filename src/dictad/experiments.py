@@ -1,19 +1,21 @@
 """Experiment drivers behind the CLI.
 
-run_experiment checks and completes a flat parameter dict against PARAMS
-before it touches a file. The verb's driver in RUNNERS then runs one
-experiment, writes its artifacts and returns its metrics; run_experiment
-times it and writes result.json, which echoes the resolved configuration,
-the metrics and the wall time. Identical config + seed reruns produce
-byte-identical artifacts except the wall-time field.
+run_experiment checks a flat parameter dict against PARAMS, reads the
+dataset and only then makes the output directory, which a run that fails
+removes while it holds no file. The verb's driver in RUNNERS runs one
+experiment on the dataset, writes its artifacts and returns its metrics;
+run_experiment writes result.json: the resolved configuration, the metrics
+and the wall time of load and run, the one field a rerun may change.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import numbers
+import os
 import time
 from collections import namedtuple
 from pathlib import Path
@@ -154,7 +156,7 @@ def _load_dataset(params: dict) -> Dataset:
     else:
         ds = load_csv(params["dataset"], schema=params["schema"],
                       label_column=params["label_column"])
-    if params["normalize"]:  # the table was just made here, so it is z-scored in place
+    if params.get("normalize"):  # the table was just made here, so it is z-scored in place
         ds = normalize(ds, copy=False)
     if params.get("subsample_ratio", 0) > 0:  # eval has no such row: predictions follow the rows
         ds = subsample(ds, params["subsample_ratio"], params["seed"])
@@ -176,8 +178,7 @@ def _pretrain_model(Y, labels, params: dict):
     return pretrain(Y, labels, cfg)
 
 
-def run_pretrain(params: dict, out_dir: Path) -> dict:
-    ds = _load_dataset(params)
+def run_pretrain(params: dict, ds: Dataset, out_dir: Path) -> dict:
     if ds.labels is None:
         raise DataError("pretraining needs labels")
     model = _pretrain_model(ds.Y, ds.labels, params)
@@ -189,8 +190,7 @@ def run_pretrain(params: dict, out_dir: Path) -> dict:
     return {"train": rep.as_dict()}
 
 
-def run_toddler(params: dict, out_dir: Path) -> dict:
-    ds = _load_dataset(params)
+def run_toddler(params: dict, ds: Dataset, out_dir: Path) -> dict:
     if ds.labels is None:
         raise DataError("the online experiment needs labels for evaluation")
     N = ds.n_samples
@@ -235,15 +235,13 @@ def _filter_outputs(ds: Dataset, labels, trace, out_dir: Path) -> dict:
     return metrics
 
 
-def run_addl(params: dict, out_dir: Path) -> dict:
-    ds = _load_dataset(params)
+def run_addl(params: dict, ds: Dataset, out_dir: Path) -> dict:
     cfg = ADDLConfig(params["global_iterations"], _stage_dl(params), _coding(params))
     labels, trace = addl_run(ds.Y, cfg, truth=ds.labels)
     return _filter_outputs(ds, labels, trace, out_dir)
 
 
-def run_popularity(params: dict, out_dir: Path) -> dict:
-    ds = _load_dataset(params)
+def run_popularity(params: dict, ds: Dataset, out_dir: Path) -> dict:
     n_anom = params["n_anomalies"]
     if n_anom is None:
         if ds.labels is None:
@@ -257,15 +255,13 @@ def run_popularity(params: dict, out_dir: Path) -> dict:
     return _filter_outputs(ds, labels, trace, out_dir)
 
 
-def run_synth(params: dict, out_dir: Path) -> dict:
-    ds = synth_generate(SynthConfig(**params["synth"]))
+def run_synth(params: dict, ds: Dataset, out_dir: Path) -> dict:
     save_csv(ds, out_dir / "dataset.csv")
     return {"n_samples": ds.n_samples, "n_features": ds.n_features,
             "n_anomalies": int(np.sum(ds.labels))}
 
 
-def run_eval(params: dict, out_dir: Path) -> dict:
-    ds = _load_dataset(params)
+def run_eval(params: dict, ds: Dataset, out_dir: Path) -> dict:
     if ds.labels is None:
         raise DataError("evaluation needs ground-truth labels in the dataset")
     pred_path = params["predictions"]
@@ -308,15 +304,19 @@ def run_experiment(method: str, params: dict, out_dir) -> dict:
         raise ConfigError(f"unknown method {method!r}")
     params = resolve_params(method, params)
     out_dir = Path(out_dir)
+    t0 = time.perf_counter()
+    ds = _load_dataset(params)
+    made = [p for p in (out_dir, *out_dir.parents) if not os.path.exists(p)]  # innermost first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        metrics = RUNNERS[method](params, out_dir)
+        metrics = RUNNERS[method](params, ds, out_dir)
         result = {"method": method, "config": params, "seed": params["seed"],
                   "metrics": metrics, "wall_time_s": time.perf_counter() - t0}
-        with open(out_dir / "result.json", "w") as f:
-            json.dump(result, f, indent=2, sort_keys=True)
-            f.write("\n")
+        (out_dir / "result.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
         return result
     except OSError as e:  # loading reports its OSErrors as DataError: this is an output
         raise ConfigError(f"cannot write {e.filename or out_dir}: {e.strerror}") from None
+    finally:  # a directory made here goes while it holds no file; a run that returned holds one
+        with contextlib.suppress(OSError):
+            for p in made:
+                p.rmdir()

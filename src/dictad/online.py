@@ -25,7 +25,8 @@ from numpy.linalg import _umath_linalg
 
 from .errors import DataError, NumericalError
 from .sparse_coding import CodingConfig, Dictionary, SparseCode, SparseCodeMatrix, omp
-from .supervised import DiscriminativeModel, classify, load_model_file, save_model_file
+from .supervised import (DiscriminativeModel, classify, file_sparsity, load_model_file,
+                         save_model_file)
 
 # updates between the finiteness checks of G and D
 _CHECK_EVERY = 100
@@ -279,15 +280,13 @@ def load_state(path) -> OnlineState:
     model, z = load_model_file(path, "state", (
         "G", "phi", "policy_kind", "policy_lambda1", "policy_lambda2", "samples_seen",
         "coding_s", "coding_residual_tol"))
-    seen, s = float(z["samples_seen"]), float(z["coding_s"])
-    for fault, what in ((not (seen >= 0 and seen.is_integer()),
-                         f"samples_seen is {z['samples_seen']}, not a count"),
-                        (not (1 <= s <= model.D.n and s.is_integer()),
-                         f"coding_s is {z['coding_s']}, not a sparsity in 1..{model.D.n}")):
-        if fault:
-            raise DataError(f"{path} is not a state file: {what}")
+    seen = float(z["samples_seen"])
+    if not (seen >= 0 and seen.is_integer()):
+        raise DataError(f"{path} is not a state file: samples_seen is {z['samples_seen']}, "
+                        "not a count")
+    s = file_sparsity(path, "state", "coding_s", z["coding_s"], model.D.n)
     try:
-        coding = CodingConfig(int(s), float(z["coding_residual_tol"]))
+        coding = CodingConfig(s, float(z["coding_residual_tol"]))
         policy = LambdaPolicy(
             str(z["policy_kind"]), float(z["policy_lambda1"]), float(z["policy_lambda2"])
         )

@@ -123,9 +123,10 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
     DataError when path cannot be read, is not an .npz, lacks an array that a
     `kind` file ("model" or "state") holds, holds one of another dimension,
     of values that are not numbers (policy_kind is text) or of a size that
-    D's atom count does not fit, has an empty D or W, a class_of_atom value
-    that is not a row index of W, or another format version. D, W and A
-    come back as float64, integer arrays cast, float64 ones as stored."""
+    D's atom count does not fit, has an empty D or W, a NaN or inf in D, W
+    or A, a class_of_atom value that is not a row index of W, or another
+    format version. D, W and A come back as float64, integer arrays cast,
+    float64 ones as stored."""
     try:  # np.load leaks the handle it opens when the zip is truncated
         with open(path, "rb") as f:
             z = np.load(f)
@@ -158,6 +159,9 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
         if arrays[k].shape != want:
             raise DataError(f"{path} is not a {kind} file: {k} has shape "
                             f"{arrays[k].shape}, D has {n} atoms")
+    for k in ("D", "W", "A"):  # a stream on such a model predicts what the NaN decides
+        if not np.all(np.isfinite(arrays[k])):
+            raise DataError(f"{path} is not a {kind} file: {k} holds non-finite values")
     classes = arrays["class_of_atom"]
     stray = classes[~np.isin(classes, np.arange(len(arrays["W"])))]
     if stray.size:
@@ -169,12 +173,23 @@ def load_model_file(path, kind: str, extra: tuple[str, ...]):
     return model, {k: arrays[k] for k in extra}
 
 
+def file_sparsity(path, kind: str, key: str, value, atoms: int) -> int:
+    """The array `key` of a `kind` file as an OMP sparsity; DataError unless
+    it is an integer in 1..atoms."""
+    s = float(value)
+    if not (1 <= s <= atoms and s.is_integer()):
+        raise DataError(f"{path} is not a {kind} file: {key} is {value}, "
+                        f"not a sparsity in 1..{atoms}")
+    return int(s)
+
+
 def save_model(path, model: DiscriminativeModel, sparsity: int):
     """Serialize a pretrained model (bit-exact round trip, versioned)."""
     save_model_file(path, model, sparsity=np.int64(sparsity))
 
 
 def load_model(path):
-    """Inverse of save_model; returns (model, sparsity)."""
+    """Inverse of save_model; returns (model, sparsity). DataError as in
+    load_model_file, and for a sparsity that is not an integer in 1..atoms."""
     model, z = load_model_file(path, "model", ("sparsity",))
-    return model, int(z["sparsity"])
+    return model, file_sparsity(path, "model", "sparsity", z["sparsity"], model.D.n)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -413,7 +414,7 @@ _MALFORMED_CSV = pytest.mark.parametrize("schema, csv_text, message", [
 
 def _eval_stderr(tmp_path, capsys, schema):
     """eval on tmp_path's data.csv and preds.txt, warnings raised as errors:
-    (exit code, stderr)."""
+    (exit code, stderr). A refused run leaves no output directory."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main([
@@ -421,6 +422,7 @@ def _eval_stderr(tmp_path, capsys, schema):
             "--schema", schema, "--label-column", "Class",
             "--predictions", str(tmp_path / "preds.txt"),
         ])
+    assert rc == 0 or not (tmp_path / "o").exists()
     return rc, capsys.readouterr().err
 
 
@@ -517,6 +519,13 @@ def test_cli_stream_sample_norm_overflow_exit_3(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err == (
         "data error: the signal's norm overflows; rescale the features (--normalize)\n")
+    # the aborted stream keeps a row for each sample it scored, and writes no
+    # result.json or checkpoint
+    rows = (tmp_path / "o" / "predictions.csv").read_text().splitlines()
+    assert rows[0] == "index,predicted,true"
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(
+        np.random.default_rng(0).permutation(60)[30:-1])
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["predictions.csv"]
 
 
 @pytest.mark.parametrize("verb, flags", [
@@ -697,7 +706,7 @@ def test_cli_synth_noise_overflow_exit_3(tmp_path, capsys):
                  "--features", "4", "--normal-atoms", "2", "--anomaly-atoms", "1",
                  "--s-gen", "1", "--noise-sigma", "1e308"]) == 3
     assert capsys.readouterr().err == "data error: noise_sigma=1e+308 makes samples overflow\n"
-    assert not (out / "dataset.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb, csv_text, code, message", [
@@ -720,6 +729,7 @@ def test_cli_runner_errors(tmp_path, capsys, verb, csv_text, code, message):
         argv += ["--label-column", "Class"]
     assert main(argv) == code
     assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("preds, held", [("0\n1\n", 2), ("0\n1\n0\n1\n", 4), ("", 0)],
@@ -745,12 +755,30 @@ def test_experiments_refusals(tmp_path, capsys, verb, flags, code, message):
     assert main([verb, "--out", str(tmp_path / "o"), "--dataset", str(data), "--schema", "generic",
                  *(f.format(preds=preds) for f in flags)]) == code
     assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_experiment_refuses_an_unknown_method(tmp_path):
     # the CLI's parser refuses an unknown verb before it gets here
     with pytest.raises(ConfigError, match="^unknown method 'bogus'$"):
         run_experiment("bogus", {}, tmp_path / "o")
+
+
+def test_only_run_experiment_reads_the_dataset():
+    # one function, experiments.run_experiment, reads or generates a run's
+    # dataset, through _load_dataset, before it makes the output directory;
+    # every runner is handed that dataset
+    modules = sorted(Path(experiments.__file__).parent.glob("*.py"))
+    callers = {p.name: p.read_text(encoding="utf-8").count("_load_dataset(") for p in modules}
+    assert {k: v for k, v in callers.items() if v} == {"experiments.py": 2}  # def and one call
+    assert inspect.getsource(experiments.run_experiment).count("_load_dataset(") == 1
+    loader = inspect.getsource(experiments._load_dataset)
+    for token in ("load_csv(", "synth_generate("):
+        assert loader.count(token) == 1
+        assert inspect.getsource(experiments).count(token) == 1, token
+    for name, runner in experiments.RUNNERS.items():
+        assert runner.__name__ == f"run_{name}"
+        assert list(inspect.signature(runner).parameters) == ["params", "ds", "out_dir"]
 
 
 @pytest.mark.parametrize("data_bytes, preds_bytes", [
@@ -770,6 +798,7 @@ def test_cli_non_utf8_input_exit_3(tmp_path, capsys, data_bytes, preds_bytes):
     assert err.startswith("data error: ")
     assert err.count("\n") == 1
     assert "not UTF-8 text" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_reads_the_config_as_utf8_in_any_locale(tmp_path):

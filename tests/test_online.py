@@ -486,13 +486,25 @@ _MALFORMED = {
     "nan-residual-tol": {"coding_residual_tol": np.float64(np.nan)},
     "inf-residual-tol": {"coding_residual_tol": np.float64(np.inf)},
     "negative-residual-tol": {"coding_residual_tol": np.float64(-1.0)},
+    "sparsity-atoms-plus-1": {"coding_s": np.int64(9)},
+    "negative-sparsity": {"coding_s": np.int64(-2)},
+    "fractional-sparsity": {"coding_s": np.float64(3.7)},
+    "nan-sparsity": {"coding_s": np.float64(np.nan)},
+    "model-zero-sparsity": {"sparsity": np.int64(0)},
+    "model-sparsity-atoms-plus-1": {"sparsity": np.int64(9)},
+    "model-negative-sparsity": {"sparsity": np.int64(-2)},
+    "model-fractional-sparsity": {"sparsity": np.float64(3.7)},
+    "model-nan-sparsity": {"sparsity": np.float64(np.nan)},
 }
+# a model file and a checkpoint whose D, W or A holds one NaN or inf
+_NON_FINITE = {f"{kind}-{bad}-{key}": (kind, key, float(bad))
+               for kind in ("model", "state") for key in "DWA" for bad in ("nan", "inf")}
 
 
 def _model_files(tmp_path):
     """A model.npz and a checkpoint.npz of one toy state with 8 atoms, the
     checkpoint's first half, the checkpoint with the next format version,
-    the _MALFORMED files and a dataset CSV."""
+    the _MALFORMED and _NON_FINITE files and a dataset CSV."""
     st, _ = _toy_state(seed=18)
     save_model(tmp_path / "model.npz", st.model, sparsity=2)
     save_state(tmp_path / "checkpoint.npz", st)
@@ -504,6 +516,11 @@ def _model_files(tmp_path):
     for name, bad in _MALFORMED.items():
         with np.load(tmp_path / ("model.npz" if "sparsity" in bad else "checkpoint.npz")) as z:
             np.savez(tmp_path / f"{name}.npz", **{**{k: z[k] for k in z.files}, **bad})
+    for name, (kind, key, bad) in _NON_FINITE.items():
+        with np.load(tmp_path / ("model.npz" if kind == "model" else "checkpoint.npz")) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays[key].flat[arrays[key].size // 2] = bad
+        np.savez(tmp_path / f"{name}.npz", **arrays)
     (tmp_path / "dataset.csv").write_text("a,Class\n1,0\n2,1\n")
     return {"model": load_model, "state": load_state}
 
@@ -562,8 +579,28 @@ def test_model_files_list_the_model_arrays_first(tmp_path):
      "is not a state file: residual_tol must be finite and nonnegative$"),
     ("state", "negative-residual-tol.npz",
      "is not a state file: residual_tol must be finite and nonnegative$"),
+    ("state", "sparsity-atoms-plus-1.npz",
+     r"is not a state file: coding_s is 9, not a sparsity in 1\.\.8$"),
+    ("state", "negative-sparsity.npz",
+     r"is not a state file: coding_s is -2, not a sparsity in 1\.\.8$"),
+    ("state", "fractional-sparsity.npz",
+     r"is not a state file: coding_s is 3.7, not a sparsity in 1\.\.8$"),
+    ("state", "nan-sparsity.npz",
+     r"is not a state file: coding_s is nan, not a sparsity in 1\.\.8$"),
+    ("model", "model-zero-sparsity.npz",
+     r"is not a model file: sparsity is 0, not a sparsity in 1\.\.8$"),
+    ("model", "model-sparsity-atoms-plus-1.npz",
+     r"is not a model file: sparsity is 9, not a sparsity in 1\.\.8$"),
+    ("model", "model-negative-sparsity.npz",
+     r"is not a model file: sparsity is -2, not a sparsity in 1\.\.8$"),
+    ("model", "model-fractional-sparsity.npz",
+     r"is not a model file: sparsity is 3.7, not a sparsity in 1\.\.8$"),
+    ("model", "model-nan-sparsity.npz",
+     r"is not a model file: sparsity is nan, not a sparsity in 1\.\.8$"),
+    *[(kind, f"{name}.npz", f"/{name}.npz is not a {kind} file: {key} holds non-finite values$")
+      for name, (kind, key, _) in _NON_FINITE.items()],
 ], ids=["model-as-state", "state-as-model", "csv-as-state", "csv-as-model", "truncated",
-        "missing", "state-version", *_MALFORMED])
+        "missing", "state-version", *_MALFORMED, *_NON_FINITE])
 def test_load_wrong_file_raises_data_error(tmp_path, kind, name, message):
     loaders = _model_files(tmp_path)
     with pytest.raises(DataError, match=message):
